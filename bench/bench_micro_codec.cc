@@ -1,7 +1,7 @@
 // Microbenchmarks for the wire codec: encode/decode of the messages the
 // protocol sends most often (phase-1 copy updates, copy replies, recovery
-// info with a full fail-lock table), the group-commit batch frames against
-// their singleton equivalents, and the pooled buffer-reuse encode path.
+// info with a full fail-lock table), a batched commit round against the
+// rounds of one it replaces, and the pooled buffer-reuse encode path.
 
 #include <benchmark/benchmark.h>
 
@@ -12,12 +12,25 @@
 namespace miniraid {
 namespace {
 
-Message MakePrepare(size_t n_writes) {
+/// A kPrepare frame for a round of `n_members` members starting at txn
+/// `first`, each writing `writes_per_member` items, with a four-site
+/// session vector and participant set.
+Message MakePrepare(size_t n_members, size_t writes_per_member,
+                    TxnId first = 1000) {
   PrepareArgs args;
-  args.txn = 123456;
-  for (size_t i = 0; i < n_writes; ++i) {
-    args.writes.push_back(
-        ItemWrite{static_cast<ItemId>(i), static_cast<Value>(i * 7919)});
+  args.round = first;
+  for (size_t i = 0; i < 4; ++i) {
+    args.session_vector.push_back(SessionEntryWire{i + 1, SiteStatus::kUp});
+  }
+  args.participants = {0, 1, 2, 3};
+  for (size_t m = 0; m < n_members; ++m) {
+    RoundMember member;
+    member.txn = first + m;
+    for (size_t i = 0; i < writes_per_member; ++i) {
+      member.writes.push_back(ItemWrite{static_cast<ItemId>(m * 7 + i),
+                                        static_cast<Value>(i * 7919)});
+    }
+    args.members.push_back(std::move(member));
   }
   return MakeMessage(0, 1, std::move(args));
 }
@@ -33,24 +46,36 @@ Message MakeRecoveryInfo(size_t n_items) {
   return MakeMessage(0, 1, std::move(args));
 }
 
+/// Args: members in the round, writes per member. A round of one with 3
+/// writes is the common unbatched frame.
 void BM_EncodePrepare(benchmark::State& state) {
-  const Message msg = MakePrepare(static_cast<size_t>(state.range(0)));
+  const Message msg = MakePrepare(static_cast<size_t>(state.range(0)),
+                                  static_cast<size_t>(state.range(1)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(EncodeMessage(msg));
   }
 }
-BENCHMARK(BM_EncodePrepare)->Arg(3)->Arg(50);
+BENCHMARK(BM_EncodePrepare)
+    ->Args({1, 3})
+    ->Args({1, 50})
+    ->Args({2, 3})
+    ->Args({16, 3});
 
 void BM_DecodePrepare(benchmark::State& state) {
   const std::vector<uint8_t> wire =
-      EncodeMessage(MakePrepare(static_cast<size_t>(state.range(0))));
+      EncodeMessage(MakePrepare(static_cast<size_t>(state.range(0)),
+                                static_cast<size_t>(state.range(1))));
   for (auto _ : state) {
     Result<Message> decoded = DecodeMessage(wire);
     benchmark::DoNotOptimize(decoded);
   }
   state.SetBytesProcessed(int64_t(state.iterations()) * int64_t(wire.size()));
 }
-BENCHMARK(BM_DecodePrepare)->Arg(3)->Arg(50);
+BENCHMARK(BM_DecodePrepare)
+    ->Args({1, 3})
+    ->Args({1, 50})
+    ->Args({2, 3})
+    ->Args({16, 3});
 
 void BM_RoundTripRecoveryInfo(benchmark::State& state) {
   const Message msg = MakeRecoveryInfo(static_cast<size_t>(state.range(0)));
@@ -79,52 +104,13 @@ void BM_RoundTripTxnRequest(benchmark::State& state) {
 }
 BENCHMARK(BM_RoundTripTxnRequest);
 
-Message MakeBatchPrepare(size_t n_members, size_t writes_per_member) {
-  BatchPrepareArgs args;
-  args.batch = 42;
-  for (size_t i = 0; i < 4; ++i) {
-    args.session_vector.push_back(SessionEntryWire{i + 1, SiteStatus::kUp});
-  }
-  args.participants = {0, 1, 2, 3};
-  for (size_t m = 0; m < n_members; ++m) {
-    BatchMember member;
-    member.txn = 1000 + m;
-    for (size_t i = 0; i < writes_per_member; ++i) {
-      member.writes.push_back(ItemWrite{static_cast<ItemId>(m * 7 + i),
-                                        static_cast<Value>(i * 7919)});
-    }
-    args.members.push_back(std::move(member));
-  }
-  return MakeMessage(0, 1, std::move(args));
-}
-
-/// One batch frame carrying N members...
-void BM_EncodeBatchPrepare(benchmark::State& state) {
-  const Message msg =
-      MakeBatchPrepare(static_cast<size_t>(state.range(0)), 3);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(EncodeMessage(msg));
-  }
-}
-BENCHMARK(BM_EncodeBatchPrepare)->Arg(2)->Arg(16);
-
-/// ...against the N singleton Prepare frames it replaces (same session
-/// vector and participant list repeated per frame — the wire bytes group
-/// commit saves).
-void BM_EncodeEquivalentSingletonPrepares(benchmark::State& state) {
+/// The N rounds of one that one round of N members replaces (BM_EncodePrepare
+/// with Args({N, 3})): the session vector and participant list repeat per
+/// frame — the wire bytes group commit saves.
+void BM_EncodeRoundsOfOne(benchmark::State& state) {
   std::vector<Message> singles;
   for (int64_t m = 0; m < state.range(0); ++m) {
-    PrepareArgs args;
-    args.txn = 1000 + static_cast<TxnId>(m);
-    for (size_t i = 0; i < 3; ++i) {
-      args.writes.push_back(ItemWrite{static_cast<ItemId>(m * 7 + i),
-                                      static_cast<Value>(i * 7919)});
-    }
-    for (size_t i = 0; i < 4; ++i) {
-      args.session_vector.push_back(SessionEntryWire{i + 1, SiteStatus::kUp});
-    }
-    args.participants = {0, 1, 2, 3};
-    singles.push_back(MakeMessage(0, 1, std::move(args)));
+    singles.push_back(MakePrepare(1, 3, 1000 + static_cast<TxnId>(m)));
   }
   for (auto _ : state) {
     for (const Message& msg : singles) {
@@ -132,24 +118,13 @@ void BM_EncodeEquivalentSingletonPrepares(benchmark::State& state) {
     }
   }
 }
-BENCHMARK(BM_EncodeEquivalentSingletonPrepares)->Arg(2)->Arg(16);
-
-void BM_DecodeBatchPrepare(benchmark::State& state) {
-  const std::vector<uint8_t> wire =
-      EncodeMessage(MakeBatchPrepare(static_cast<size_t>(state.range(0)), 3));
-  for (auto _ : state) {
-    Result<Message> decoded = DecodeMessage(wire);
-    benchmark::DoNotOptimize(decoded);
-  }
-  state.SetBytesProcessed(int64_t(state.iterations()) * int64_t(wire.size()));
-}
-BENCHMARK(BM_DecodeBatchPrepare)->Arg(2)->Arg(16);
+BENCHMARK(BM_EncodeRoundsOfOne)->Arg(2)->Arg(16);
 
 /// The retransmit-path allocation question: EncodeMessage allocates a fresh
 /// vector per frame; EncodeMessageInto on a FramePool buffer reuses the
 /// same storage in steady state.
 void BM_EncodePreparePooled(benchmark::State& state) {
-  const Message msg = MakePrepare(static_cast<size_t>(state.range(0)));
+  const Message msg = MakePrepare(1, static_cast<size_t>(state.range(0)));
   FramePool pool;
   for (auto _ : state) {
     Encoder enc = pool.Acquire();

@@ -38,9 +38,6 @@ void QuorumSite::OnMessage(const Message& msg) {
     case MsgType::kCommitAck:
       HandleCommitAck(msg);
       break;
-    case MsgType::kAbort:
-      HandleAbort(msg);
-      break;
     case MsgType::kFailSite:
       up_ = false;
       if (coord_) {
@@ -129,8 +126,9 @@ void QuorumSite::StartWritePhase() {
   c.replies = 1;  // self
   for (SiteId t = 0; t < options_.n_sites; ++t) {
     if (t == id_) continue;
-    (void)transport_->Send(
-        MakeMessage(id_, t, PrepareArgs{c.txn.id, c.writes, {}, {}}));
+    (void)transport_->Send(MakeMessage(
+        id_, t,
+        PrepareArgs{c.txn.id, {}, {}, {RoundMember{c.txn.id, c.writes}}}));
   }
   c.timer =
       runtime_->ScheduleAfter(options_.ack_timeout, [this] { Timeout(); });
@@ -138,7 +136,7 @@ void QuorumSite::StartWritePhase() {
 
 void QuorumSite::HandlePrepareAck(const Message& msg) {
   if (!coord_ || coord_->phase != Coordination::Phase::kWriteQuorum) return;
-  if (msg.As<PrepareAckArgs>().txn != coord_->txn.id) return;
+  if (msg.As<PrepareAckArgs>().round != coord_->txn.id) return;
   coord_->acked.insert(msg.from);
   if (++coord_->replies < QuorumSize()) return;
   runtime_->CancelTimer(coord_->timer);
@@ -147,7 +145,8 @@ void QuorumSite::HandlePrepareAck(const Message& msg) {
   coord_->phase = Coordination::Phase::kCommitWait;
   coord_->replies = 1;
   for (SiteId t : coord_->acked) {
-    (void)transport_->Send(MakeMessage(id_, t, CommitArgs{coord_->txn.id}));
+    (void)transport_->Send(MakeMessage(
+        id_, t, CommitArgs{coord_->txn.id, {coord_->txn.id}, {}}));
   }
   coord_->timer =
       runtime_->ScheduleAfter(options_.ack_timeout, [this] { Timeout(); });
@@ -155,7 +154,7 @@ void QuorumSite::HandlePrepareAck(const Message& msg) {
 
 void QuorumSite::HandleCommitAck(const Message& msg) {
   if (!coord_ || coord_->phase != Coordination::Phase::kCommitWait) return;
-  if (msg.As<CommitAckArgs>().txn != coord_->txn.id) return;
+  if (msg.As<CommitAckArgs>().round != coord_->txn.id) return;
   if (++coord_->replies < QuorumSize()) return;
   runtime_->CancelTimer(coord_->timer);
   FinishCommit();
@@ -168,7 +167,8 @@ void QuorumSite::Timeout() {
     case Coordination::Phase::kWriteQuorum:
       // Quorum unavailable: too many silent sites.
       for (SiteId t : coord_->acked) {
-        (void)transport_->Send(MakeMessage(id_, t, AbortArgs{coord_->txn.id}));
+        (void)transport_->Send(MakeMessage(
+            id_, t, CommitArgs{coord_->txn.id, {}, {coord_->txn.id}}));
       }
       ++counters_.txns_aborted_participant;
       Reply(TxnOutcome::kAbortedParticipantFailed);
@@ -213,37 +213,38 @@ void QuorumSite::HandleCopyRequest(const Message& msg) {
 
 void QuorumSite::HandlePrepare(const Message& msg) {
   const auto& args = msg.As<PrepareArgs>();
+  if (args.members.size() != 1) return;  // rounds of one only
   if (part_) {
     runtime_->CancelTimer(part_->timer);
     part_.reset();
   }
   ++counters_.prepares_handled;
   part_.emplace();
-  part_->txn = args.txn;
+  part_->txn = args.round;
   part_->coordinator = msg.from;
-  part_->staged = args.writes;
-  (void)transport_->Send(MakeMessage(id_, msg.from, PrepareAckArgs{args.txn, true, {}}));
+  part_->staged = args.members.front().writes;
+  (void)transport_->Send(
+      MakeMessage(id_, msg.from, PrepareAckArgs{args.round, true, {}, {}}));
   part_->timer = runtime_->ScheduleAfter(3 * options_.ack_timeout, [this] {
     if (part_) part_.reset();
   });
 }
 
 void QuorumSite::HandleCommit(const Message& msg) {
-  if (!part_ || part_->txn != msg.As<CommitArgs>().txn) return;
+  const auto& args = msg.As<CommitArgs>();
+  if (!part_ || part_->txn != args.round) return;
   runtime_->CancelTimer(part_->timer);
+  if (args.commits.empty()) {  // abort-only frame: discard
+    ++counters_.aborts_handled;
+    part_.reset();
+    return;
+  }
   for (const ItemWrite& write : part_->staged) {
     (void)db_.CommitWrite(write.item, write.value, part_->txn);
   }
   (void)transport_->Send(
       MakeMessage(id_, part_->coordinator, CommitAckArgs{part_->txn}));
   ++counters_.commits_handled;
-  part_.reset();
-}
-
-void QuorumSite::HandleAbort(const Message& msg) {
-  if (!part_ || part_->txn != msg.As<AbortArgs>().txn) return;
-  runtime_->CancelTimer(part_->timer);
-  ++counters_.aborts_handled;
   part_.reset();
 }
 

@@ -21,7 +21,8 @@ namespace miniraid {
 /// minority of failed sites with no recovery protocol at all (a recovered
 /// site simply rejoins; quorum intersection masks its staleness), but pays
 /// quorum messages on every read — the classic trade against ROWAA, which
-/// reads locally and pays at recovery time instead.
+/// reads locally and pays at recovery time instead. Writes commit through
+/// rounds of one (round id = transaction id), as in RowaSite.
 class QuorumSite : public MessageHandler {
  public:
   QuorumSite(SiteId id, const BaselineSiteOptions& options,
@@ -72,7 +73,6 @@ class QuorumSite : public MessageHandler {
   void HandleCopyRequest(const Message& msg);
   void HandlePrepare(const Message& msg);
   void HandleCommit(const Message& msg);
-  void HandleAbort(const Message& msg);
 
   const SiteId id_;
   const BaselineSiteOptions options_;

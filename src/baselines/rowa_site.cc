@@ -32,9 +32,6 @@ void RowaSite::OnMessage(const Message& msg) {
     case MsgType::kCommitAck:
       HandleCommitAck(msg);
       break;
-    case MsgType::kAbort:
-      HandleAbort(msg);
-      break;
     case MsgType::kCopyRequest:
       HandleCopyRequest(msg);
       break;
@@ -95,8 +92,10 @@ void RowaSite::HandleTxnRequest(const Message& msg) {
   for (SiteId t = 0; t < options_.n_sites; ++t) {
     if (t == id_) continue;
     coord_->awaiting.insert(t);
-    (void)transport_->Send(
-        MakeMessage(id_, t, PrepareArgs{coord_->txn.id, coord_->writes, {}, {}}));
+    (void)transport_->Send(MakeMessage(
+        id_, t,
+        PrepareArgs{coord_->txn.id, {}, {}, {RoundMember{coord_->txn.id,
+                                                         coord_->writes}}}));
   }
   if (coord_->awaiting.empty()) {
     FinishCommit();
@@ -108,7 +107,7 @@ void RowaSite::HandleTxnRequest(const Message& msg) {
 
 void RowaSite::HandlePrepareAck(const Message& msg) {
   if (!coord_ || coord_->committing) return;
-  if (msg.As<PrepareAckArgs>().txn != coord_->txn.id) return;
+  if (msg.As<PrepareAckArgs>().round != coord_->txn.id) return;
   coord_->awaiting.erase(msg.from);
   if (!coord_->awaiting.empty()) return;
   runtime_->CancelTimer(coord_->timer);
@@ -116,7 +115,8 @@ void RowaSite::HandlePrepareAck(const Message& msg) {
   for (SiteId t = 0; t < options_.n_sites; ++t) {
     if (t == id_) continue;
     coord_->awaiting.insert(t);
-    (void)transport_->Send(MakeMessage(id_, t, CommitArgs{coord_->txn.id}));
+    (void)transport_->Send(MakeMessage(
+        id_, t, CommitArgs{coord_->txn.id, {coord_->txn.id}, {}}));
   }
   coord_->timer =
       runtime_->ScheduleAfter(options_.ack_timeout, [this] { Timeout(); });
@@ -124,7 +124,7 @@ void RowaSite::HandlePrepareAck(const Message& msg) {
 
 void RowaSite::HandleCommitAck(const Message& msg) {
   if (!coord_ || !coord_->committing) return;
-  if (msg.As<CommitAckArgs>().txn != coord_->txn.id) return;
+  if (msg.As<CommitAckArgs>().round != coord_->txn.id) return;
   coord_->awaiting.erase(msg.from);
   if (!coord_->awaiting.empty()) return;
   runtime_->CancelTimer(coord_->timer);
@@ -142,7 +142,8 @@ void RowaSite::Timeout() {
   // Strict ROWA: any unreachable site blocks updates — abort.
   for (SiteId t = 0; t < options_.n_sites; ++t) {
     if (t == id_ || coord_->awaiting.count(t)) continue;
-    (void)transport_->Send(MakeMessage(id_, t, AbortArgs{coord_->txn.id}));
+    (void)transport_->Send(MakeMessage(
+        id_, t, CommitArgs{coord_->txn.id, {}, {coord_->txn.id}}));
   }
   ++counters_.txns_aborted_participant;
   Reply(TxnOutcome::kAbortedParticipantFailed);
@@ -167,38 +168,38 @@ void RowaSite::Reply(TxnOutcome outcome) {
 void RowaSite::HandlePrepare(const Message& msg) {
   if (recovering_) return;  // not serving until refreshed
   const auto& args = msg.As<PrepareArgs>();
+  if (args.members.size() != 1) return;  // rounds of one only
   if (part_) {
     runtime_->CancelTimer(part_->timer);
     part_.reset();
   }
   ++counters_.prepares_handled;
   part_.emplace();
-  part_->txn = args.txn;
+  part_->txn = args.round;
   part_->coordinator = msg.from;
-  part_->staged = args.writes;
+  part_->staged = args.members.front().writes;
   (void)transport_->Send(
-      MakeMessage(id_, msg.from, PrepareAckArgs{args.txn, true, {}}));
+      MakeMessage(id_, msg.from, PrepareAckArgs{args.round, true, {}, {}}));
   part_->timer = runtime_->ScheduleAfter(3 * options_.ack_timeout, [this] {
     if (part_) part_.reset();  // coordinator gone; discard
   });
 }
 
 void RowaSite::HandleCommit(const Message& msg) {
-  if (!part_ || part_->txn != msg.As<CommitArgs>().txn) return;
+  const auto& args = msg.As<CommitArgs>();
+  if (!part_ || part_->txn != args.round) return;
   runtime_->CancelTimer(part_->timer);
+  if (args.commits.empty()) {  // abort-only frame: discard
+    ++counters_.aborts_handled;
+    part_.reset();
+    return;
+  }
   for (const ItemWrite& write : part_->staged) {
     (void)db_.CommitWrite(write.item, write.value, part_->txn);
   }
   (void)transport_->Send(
       MakeMessage(id_, part_->coordinator, CommitAckArgs{part_->txn}));
   ++counters_.commits_handled;
-  part_.reset();
-}
-
-void RowaSite::HandleAbort(const Message& msg) {
-  if (!part_ || part_->txn != msg.As<AbortArgs>().txn) return;
-  runtime_->CancelTimer(part_->timer);
-  ++counters_.aborts_handled;
   part_.reset();
 }
 

@@ -28,7 +28,9 @@ struct BaselineSiteOptions {
 /// copies from stale ones, so everything must be refreshed.
 ///
 /// Shares the mini-RAID wire protocol (Prepare/Commit/CopyRequest/...) so
-/// it runs over the same transports and drivers.
+/// it runs over the same transports and drivers. Every commit is a round
+/// of one whose round id is the transaction id; an abort is a Commit frame
+/// with the transaction in its `aborts` list.
 class RowaSite : public MessageHandler {
  public:
   RowaSite(SiteId id, const BaselineSiteOptions& options,
@@ -68,7 +70,6 @@ class RowaSite : public MessageHandler {
 
   void HandlePrepare(const Message& msg);
   void HandleCommit(const Message& msg);
-  void HandleAbort(const Message& msg);
 
   void StartRecovery();
   void HandleCopyReply(const Message& msg);

@@ -216,9 +216,9 @@ const std::vector<ActionEffectVocabulary>& AbstractActionVocabulary() {
       {Kind::kCommit,
        "kCommit",
        {"kTxnRequest", "kPrepare", "kPrepareAck", "kCommit", "kCommitAck",
-        "kAbort", "kTxnReply", "kDecisionQuery"},
+        "kTxnReply", "kDecisionQuery"},
        {"send:kPrepare", "send:kPrepareAck", "send:kCommit", "send:kCommitAck",
-        "send:kAbort", "send:kTxnReply", "faillock.set", "faillock.clear",
+        "send:kTxnReply", "faillock.set", "faillock.clear",
         "session.merge", "outcome.record", "lockmgr.acquire",
         "lockmgr.release"}},
       {Kind::kDetectFailure,
@@ -256,16 +256,15 @@ const std::vector<ActionEffectVocabulary>& AbstractActionVocabulary() {
         "session.merge"}},
       {Kind::kEndCommit,
        "kEndCommit",
-       {"kCommit", "kCommitAck", "kAbort"},
+       {"kCommit", "kCommitAck"},
        {"send:kCommitAck", "send:kTxnReply", "faillock.set", "faillock.clear",
         "lockmgr.release", "outcome.record"}},
       {Kind::kEndBatchCommit,
        "kEndBatchCommit",
-       {"kBatchPrepare", "kBatchPrepareAck", "kBatchCommit", "kBatchCommitAck"},
-       {"send:kBatchPrepare", "send:kBatchPrepareAck", "send:kBatchCommit",
-        "send:kBatchCommitAck", "send:kTxnReply", "faillock.set",
-        "faillock.clear", "lockmgr.acquire", "lockmgr.pin", "lockmgr.release",
-        "outcome.record", "session.merge"}},
+       {"kPrepare", "kPrepareAck", "kCommit", "kCommitAck"},
+       {"send:kPrepare", "send:kPrepareAck", "send:kCommit", "send:kCommitAck",
+        "send:kTxnReply", "faillock.set", "faillock.clear", "lockmgr.acquire",
+        "lockmgr.pin", "lockmgr.release", "outcome.record", "session.merge"}},
   };
   return vocab;
 }
@@ -353,10 +352,10 @@ std::vector<AbstractAction> EnabledActions(const AbstractConfig& cfg,
     }
     // kEndBatchCommit: group commit — two or more prepared slots at the
     // same coordinator with the same pinned participant set drain as one
-    // atomic apply + coalesced maintenance (the engine's BatchCommit
-    // round). One action per (coordinator, participant-set) group; the
-    // singleton kEndCommit actions above stay enabled per slot, modelling
-    // the engine's batch-of-1 degrade and linger-timeout flushes.
+    // atomic apply + coalesced maintenance (the engine's commit round of
+    // two or more members). One action per (coordinator, participant-set)
+    // group; the per-slot kEndCommit actions above stay enabled, modelling
+    // rounds of one (a lone member flushed by the linger timeout).
     if (cfg.batched_commits) {
       for (uint8_t c = 0; c < n; ++c) {
         // One action per distinct mask with >= 2 slots, emitted at the
@@ -566,8 +565,8 @@ ModelState ApplyAction(const AbstractConfig& cfg, const ModelState& prev,
       // and the fail-lock maintenance for all of them lands as one table
       // update per participant (each item's row is the same complement of
       // the shared mask — the coalescing is the atomicity). Mirrors
-      // Site::FinishBatchCommit / HandleBatchCommit: per-member writes,
-      // one MaintainFailLocks over the deduped union.
+      // Site::FinishRound / HandleCommit: per-member writes, one
+      // MaintainFailLocks over the deduped union.
       const uint8_t participants = a.peer;
       for (uint8_t x = 0; x < cfg.n_items; ++x) {
         if (!prev.pend[x].active || prev.pend[x].coord != a.site ||

@@ -53,10 +53,11 @@ struct AbstractConfig {
   /// commits at the same coordinator pinned the same participant set, a
   /// kEndBatchCommit action applies ALL of their writes and runs the
   /// coalesced fail-lock maintenance as ONE atomic step — the abstract
-  /// image of the engine's single BatchCommit round with one fail-lock
-  /// table update per participant. Singleton kEndCommit stays enabled for
-  /// every slot (the engine's batch-of-1 degrade path and linger-timeout
-  /// flushes), so the flag only adds interleavings. Requires
+  /// image of the engine's single multi-member commit round with one
+  /// fail-lock table update per participant. Per-slot kEndCommit stays
+  /// enabled for every slot (the engine's rounds of one, e.g. a lone
+  /// member flushed by the linger timeout), so the flag only adds
+  /// interleavings. Requires
   /// interleaved_commits; defaults off so default closures are unchanged.
   bool batched_commits = false;
   /// Fold site- and item-permutation-symmetric states together. Sound for
@@ -236,7 +237,8 @@ struct AbstractAction {
     /// prepared commit whose slot pinned participant set `peer` (a bit
     /// mask), with the coalesced fail-lock maintenance, in one atomic step;
     /// enabled only when at least two such slots exist. Mirrors the
-    /// engine's BatchCommit round (kBatchPrepare .. kBatchCommitAck).
+    /// engine's commit round of two or more members (kPrepare ..
+    /// kCommitAck).
     kEndBatchCommit = 9,
   };
   Kind kind = Kind::kCommit;

@@ -494,11 +494,10 @@ std::optional<SystematicOptions> ScenarioByName(std::string_view name) {
     // Group commit: with site 2 down (so commit-time maintenance has
     // fail-locks to write), two coordinations on DISTINCT items overlap at
     // coordinator 0 under 2PL with batching on. Schedules where both reach
-    // their prepare in the same step drain as one BatchPrepare/BatchCommit
-    // round with coalesced maintenance; schedules where they do not cover
-    // the batch-of-1 degrade path — the explorer sweeps both, plus the
-    // batch round racing failure detection and the serial recovery's
-    // column merge afterwards.
+    // their prepare in the same step drain as one two-member commit round
+    // with coalesced maintenance; schedules where they do not cover rounds
+    // of one — the explorer sweeps both, plus the round racing failure
+    // detection and the serial recovery's column merge afterwards.
     s.concurrency.mode = ConcurrencyMode::kTwoPhaseLocking;
     s.concurrency.max_executors = 2;
     s.concurrency.deadlock_policy = DeadlockPolicy::kWaitDie;

@@ -93,12 +93,12 @@ void PutTxnId(Encoder& enc, TxnId txn) { enc.PutU64(txn); }
 
 Status GetTxnId(Decoder& dec, TxnId* txn) { return dec.GetU64(txn); }
 
-void PutBatchMember(Encoder& enc, const BatchMember& m) {
+void PutRoundMember(Encoder& enc, const RoundMember& m) {
   enc.PutU64(m.txn);
   enc.PutVector(m.writes, PutItemWrite);
 }
 
-Status GetBatchMember(Decoder& dec, BatchMember* m) {
+Status GetRoundMember(Decoder& dec, RoundMember* m) {
   MINIRAID_RETURN_IF_ERROR(dec.GetU64(&m->txn));
   return dec.GetVector(&m->writes, GetItemWrite);
 }
@@ -121,19 +121,23 @@ struct PayloadEncoder {
     enc.PutVector(a.reads, PutItemCopy);
   }
   void operator()(const PrepareArgs& a) {
-    enc.PutU64(a.txn);
-    enc.PutVector(a.writes, PutItemWrite);
+    enc.PutU64(a.round);
     enc.PutVector(a.session_vector, PutSessionEntry);
     enc.PutVector(a.participants, PutItemId);  // SiteId == ItemId == u32
+    enc.PutVector(a.members, PutRoundMember);
   }
   void operator()(const PrepareAckArgs& a) {
-    enc.PutU64(a.txn);
+    enc.PutU64(a.round);
     enc.PutU8(a.accepted ? 1 : 0);
     enc.PutVector(a.session_vector, PutSessionEntry);
+    enc.PutVector(a.refused, PutTxnId);
   }
-  void operator()(const CommitArgs& a) { enc.PutU64(a.txn); }
-  void operator()(const CommitAckArgs& a) { enc.PutU64(a.txn); }
-  void operator()(const AbortArgs& a) { enc.PutU64(a.txn); }
+  void operator()(const CommitArgs& a) {
+    enc.PutU64(a.round);
+    enc.PutVector(a.commits, PutTxnId);
+    enc.PutVector(a.aborts, PutTxnId);
+  }
+  void operator()(const CommitAckArgs& a) { enc.PutU64(a.round); }
   void operator()(const CopyRequestArgs& a) {
     enc.PutU64(a.txn);
     enc.PutVector(a.items, PutItemId);
@@ -170,24 +174,6 @@ struct PayloadEncoder {
   void operator()(const ShutdownArgs&) {}
   void operator()(const DecisionQueryArgs& a) { enc.PutU64(a.txn); }
   void operator()(const ChannelAckArgs&) {}
-  void operator()(const BatchPrepareArgs& a) {
-    enc.PutU64(a.batch);
-    enc.PutVector(a.session_vector, PutSessionEntry);
-    enc.PutVector(a.participants, PutItemId);  // SiteId == ItemId == u32
-    enc.PutVector(a.members, PutBatchMember);
-  }
-  void operator()(const BatchPrepareAckArgs& a) {
-    enc.PutU64(a.batch);
-    enc.PutU8(a.accepted ? 1 : 0);
-    enc.PutVector(a.session_vector, PutSessionEntry);
-    enc.PutVector(a.refused, PutTxnId);
-  }
-  void operator()(const BatchCommitArgs& a) {
-    enc.PutU64(a.batch);
-    enc.PutVector(a.commits, PutTxnId);
-    enc.PutVector(a.aborts, PutTxnId);
-  }
-  void operator()(const BatchCommitAckArgs& a) { enc.PutU64(a.batch); }
 };
 
 // -- payload decoders --------------------------------------------------------
@@ -220,40 +206,37 @@ Status DecodePayload(MsgType type, Decoder& dec, Payload* out) {
     }
     case MsgType::kPrepare: {
       PrepareArgs a;
-      MINIRAID_RETURN_IF_ERROR(dec.GetU64(&a.txn));
-      MINIRAID_RETURN_IF_ERROR(dec.GetVector(&a.writes, GetItemWrite));
+      MINIRAID_RETURN_IF_ERROR(dec.GetU64(&a.round));
       MINIRAID_RETURN_IF_ERROR(
           dec.GetVector(&a.session_vector, GetSessionEntry));
       MINIRAID_RETURN_IF_ERROR(dec.GetVector(&a.participants, GetItemId));
+      MINIRAID_RETURN_IF_ERROR(dec.GetVector(&a.members, GetRoundMember));
       *out = std::move(a);
       return Status::Ok();
     }
     case MsgType::kPrepareAck: {
       PrepareAckArgs a;
-      MINIRAID_RETURN_IF_ERROR(dec.GetU64(&a.txn));
+      MINIRAID_RETURN_IF_ERROR(dec.GetU64(&a.round));
       uint8_t accepted = 1;
       MINIRAID_RETURN_IF_ERROR(dec.GetU8(&accepted));
       a.accepted = accepted != 0;
       MINIRAID_RETURN_IF_ERROR(
           dec.GetVector(&a.session_vector, GetSessionEntry));
+      MINIRAID_RETURN_IF_ERROR(dec.GetVector(&a.refused, GetTxnId));
       *out = std::move(a);
       return Status::Ok();
     }
     case MsgType::kCommit: {
       CommitArgs a;
-      MINIRAID_RETURN_IF_ERROR(dec.GetU64(&a.txn));
-      *out = a;
+      MINIRAID_RETURN_IF_ERROR(dec.GetU64(&a.round));
+      MINIRAID_RETURN_IF_ERROR(dec.GetVector(&a.commits, GetTxnId));
+      MINIRAID_RETURN_IF_ERROR(dec.GetVector(&a.aborts, GetTxnId));
+      *out = std::move(a);
       return Status::Ok();
     }
     case MsgType::kCommitAck: {
       CommitAckArgs a;
-      MINIRAID_RETURN_IF_ERROR(dec.GetU64(&a.txn));
-      *out = a;
-      return Status::Ok();
-    }
-    case MsgType::kAbort: {
-      AbortArgs a;
-      MINIRAID_RETURN_IF_ERROR(dec.GetU64(&a.txn));
+      MINIRAID_RETURN_IF_ERROR(dec.GetU64(&a.round));
       *out = a;
       return Status::Ok();
     }
@@ -337,42 +320,6 @@ Status DecodePayload(MsgType type, Decoder& dec, Payload* out) {
     case MsgType::kChannelAck:
       *out = ChannelAckArgs{};
       return Status::Ok();
-    case MsgType::kBatchPrepare: {
-      BatchPrepareArgs a;
-      MINIRAID_RETURN_IF_ERROR(dec.GetU64(&a.batch));
-      MINIRAID_RETURN_IF_ERROR(
-          dec.GetVector(&a.session_vector, GetSessionEntry));
-      MINIRAID_RETURN_IF_ERROR(dec.GetVector(&a.participants, GetItemId));
-      MINIRAID_RETURN_IF_ERROR(dec.GetVector(&a.members, GetBatchMember));
-      *out = std::move(a);
-      return Status::Ok();
-    }
-    case MsgType::kBatchPrepareAck: {
-      BatchPrepareAckArgs a;
-      MINIRAID_RETURN_IF_ERROR(dec.GetU64(&a.batch));
-      uint8_t accepted = 1;
-      MINIRAID_RETURN_IF_ERROR(dec.GetU8(&accepted));
-      a.accepted = accepted != 0;
-      MINIRAID_RETURN_IF_ERROR(
-          dec.GetVector(&a.session_vector, GetSessionEntry));
-      MINIRAID_RETURN_IF_ERROR(dec.GetVector(&a.refused, GetTxnId));
-      *out = std::move(a);
-      return Status::Ok();
-    }
-    case MsgType::kBatchCommit: {
-      BatchCommitArgs a;
-      MINIRAID_RETURN_IF_ERROR(dec.GetU64(&a.batch));
-      MINIRAID_RETURN_IF_ERROR(dec.GetVector(&a.commits, GetTxnId));
-      MINIRAID_RETURN_IF_ERROR(dec.GetVector(&a.aborts, GetTxnId));
-      *out = std::move(a);
-      return Status::Ok();
-    }
-    case MsgType::kBatchCommitAck: {
-      BatchCommitAckArgs a;
-      MINIRAID_RETURN_IF_ERROR(dec.GetU64(&a.batch));
-      *out = a;
-      return Status::Ok();
-    }
   }
   return Status::Corruption("unknown message type");
 }
@@ -393,8 +340,6 @@ std::string_view MsgTypeName(MsgType type) {
       return "Commit";
     case MsgType::kCommitAck:
       return "CommitAck";
-    case MsgType::kAbort:
-      return "Abort";
     case MsgType::kCopyRequest:
       return "CopyRequest";
     case MsgType::kCopyReply:
@@ -425,14 +370,6 @@ std::string_view MsgTypeName(MsgType type) {
       return "DecisionQuery";
     case MsgType::kChannelAck:
       return "ChannelAck";
-    case MsgType::kBatchPrepare:
-      return "BatchPrepare";
-    case MsgType::kBatchPrepareAck:
-      return "BatchPrepareAck";
-    case MsgType::kBatchCommit:
-      return "BatchCommit";
-    case MsgType::kBatchCommitAck:
-      return "BatchCommitAck";
   }
   return "Unknown";
 }
@@ -479,7 +416,7 @@ Result<Message> DecodeMessage(const uint8_t* data, size_t size) {
   Decoder dec(data, size);
   uint8_t type_byte = 0;
   MINIRAID_RETURN_IF_ERROR(dec.GetU8(&type_byte));
-  if (type_byte > static_cast<uint8_t>(MsgType::kBatchCommitAck)) {
+  if (type_byte > static_cast<uint8_t>(MsgType::kChannelAck)) {
     return Status::Corruption("unknown message type byte");
   }
   Message msg;

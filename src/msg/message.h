@@ -22,49 +22,41 @@ class Encoder;
 /// system actions ... cause sites to fail and recover and ... initiate a
 /// database transaction to a site").
 enum class MsgType : uint8_t {
-  // Database transaction processing (two-phase commit, Appendix A).
+  // Database transaction processing (two-phase commit, Appendix A). One
+  // exchange carries a commit round: N >= 1 member transactions that share
+  // a participant set (docs/PROTOCOL.md §7.1). A transaction that commits
+  // alone is a round of one; an abort is the commit frame's `aborts` list.
   kTxnRequest = 0,   // managing -> coordinator
   kTxnReply = 1,     // coordinator -> managing
-  kPrepare = 2,      // coordinator -> participant: copy updates
-  kPrepareAck = 3,   // participant -> coordinator
-  kCommit = 4,       // coordinator -> participant
+  kPrepare = 2,      // coordinator -> participant: members' copy updates
+  kPrepareAck = 3,   // participant -> coordinator (member-level refusals)
+  kCommit = 4,       // coordinator -> participant: commit/abort split
   kCommitAck = 5,    // participant -> coordinator
-  kAbort = 6,        // coordinator -> participant
 
   // Copier transactions (§1.1) and the special fail-lock-clearing
   // transaction (§1.2).
-  kCopyRequest = 7,        // recovering coordinator -> up-to-date site
-  kCopyReply = 8,          // copies back to the requester
-  kClearFailLocks = 9,     // special txn: announce refreshed copies
-  kClearFailLocksAck = 10,
+  kCopyRequest = 6,        // recovering coordinator -> up-to-date site
+  kCopyReply = 7,          // copies back to the requester
+  kClearFailLocks = 8,     // special txn: announce refreshed copies
+  kClearFailLocksAck = 9,
 
   // Control transactions.
-  kRecoveryAnnounce = 11,  // type 1: recovering site -> operational sites
-  kRecoveryInfo = 12,      // session vector + fail-locks back
-  kFailureAnnounce = 13,   // type 2: failure detector -> operational sites
-  kFailureAck = 14,
-  kCopyCreate = 15,        // type 3 (extension): place copy on backup site
-  kCopyCreateAck = 16,
+  kRecoveryAnnounce = 10,  // type 1: recovering site -> operational sites
+  kRecoveryInfo = 11,      // session vector + fail-locks back
+  kFailureAnnounce = 12,   // type 2: failure detector -> operational sites
+  kFailureAck = 13,
+  kCopyCreate = 14,        // type 3 (extension): place copy on backup site
+  kCopyCreateAck = 15,
 
   // Managing-site control plane.
-  kFailSite = 17,     // managing -> site: stop participating (simulated
+  kFailSite = 16,     // managing -> site: stop participating (simulated
                       // crash; the site ignores everything until recovery)
-  kRecoverSite = 18,  // managing -> site: start the type-1 protocol
-  kShutdown = 19,     // managing -> site: terminate cleanly
+  kRecoverSite = 17,  // managing -> site: start the type-1 protocol
+  kShutdown = 18,     // managing -> site: terminate cleanly
 
   // Reliable-delivery machinery (lossy-network extension).
-  kDecisionQuery = 20,  // in-doubt participant -> coordinator: outcome?
-  kChannelAck = 21,     // ReliableChannel ack (value rides in the header)
-
-  // Group commit (batched 2PC extension, docs/PROTOCOL.md "Batched
-  // two-phase commit"): one frame carries N member transactions that share
-  // a participant set, so the coordination round and the per-participant
-  // fail-lock table update are paid once per batch instead of once per
-  // transaction.
-  kBatchPrepare = 22,     // coordinator -> participant: N members' writes
-  kBatchPrepareAck = 23,  // participant -> coordinator
-  kBatchCommit = 24,      // coordinator -> participant: commit/abort split
-  kBatchCommitAck = 25,   // participant -> coordinator
+  kDecisionQuery = 19,  // in-doubt participant -> coordinator: outcome?
+  kChannelAck = 20,     // ReliableChannel ack (value rides in the header)
 };
 
 std::string_view MsgTypeName(MsgType type);
@@ -114,7 +106,8 @@ struct TxnRequestArgs {
 /// the coordinator to the managing site and handed to client callbacks.
 /// The typed abort reason (TxnOutcome) distinguishes deadlock victims,
 /// lock-wait timeouts, stale membership views, and failure-driven aborts;
-/// retryable() says whether re-submitting unchanged may succeed.
+/// retryable() says whether resubmitting the same operations under a fresh
+/// TxnSpec::id may succeed (a reused id is dropped as a duplicate).
 struct TxnResult {
   TxnId txn = 0;
   TxnOutcome outcome = TxnOutcome::kCommitted;
@@ -131,52 +124,71 @@ struct TxnResult {
   friend bool operator==(const TxnResult&, const TxnResult&) = default;
 };
 
-struct PrepareArgs {
+/// One member transaction of a commit round: its id and its copy updates.
+/// The session vector and participant set ride once at the round level —
+/// sharing them is what makes a batched round one table update.
+struct RoundMember {
   TxnId txn = 0;
   std::vector<ItemWrite> writes;
+  friend bool operator==(const RoundMember&, const RoundMember&) = default;
+};
+
+/// Phase one of a commit round: N >= 1 member transactions that share one
+/// participant set and were validated under one coordinator session vector.
+struct PrepareArgs {
+  /// Coordinator-local round id, unique per coordinator (like TxnId) and
+  /// never 0 (a commit frame with round 0 is a decision answer).
+  uint64_t round = 0;
   /// The coordinator's nominal session vector, piggybacked so every
   /// participant maintains fail-locks from the same membership knowledge
   /// the participant set was chosen under (and can veto a coordinator
   /// whose knowledge is stale — see PrepareAckArgs::accepted).
   std::vector<SessionEntryWire> session_vector;
-  /// The transaction's participant set (coordinator included). Commit-time
+  /// The round's participant set (coordinator included). Commit-time
   /// fail-lock maintenance sets the bit for exactly the holders outside
   /// this set: those are the copies that miss the write, regardless of
   /// what each participant currently believes about their status.
   std::vector<SiteId> participants;
+  std::vector<RoundMember> members;
   friend bool operator==(const PrepareArgs&, const PrepareArgs&) = default;
 };
 
 struct PrepareAckArgs {
-  TxnId txn = 0;
-  /// False = the participant refuses the transaction: a lock conflict
-  /// under the wait-die concurrency-control extension, or a session-vector
-  /// validation failure (the participant knows a strictly newer session
-  /// for some site than the coordinator's piggybacked vector — committing
-  /// under the coordinator's stale membership could strand a recovering
-  /// site's fail-locks). The coordinator aborts.
+  uint64_t round = 0;
+  /// False = whole-round refusal on session-vector validation: the
+  /// participant knows a strictly newer session for some site than the
+  /// coordinator's piggybacked vector, so committing under the
+  /// coordinator's stale membership could strand a recovering site's
+  /// fail-locks. Every member was validated under that one stale view, so
+  /// the coordinator aborts them all; the participant's vector rides back
+  /// below so the coordinator can catch up before the client retries.
   bool accepted = true;
-  /// On a session-validation refusal, the participant's vector rides back
-  /// so the coordinator can catch up before the client retries. Empty
-  /// otherwise.
   std::vector<SessionEntryWire> session_vector;
+  /// Members this participant refused individually (lock conflicts under
+  /// the wait-die / wound-wait / timeout concurrency-control extension).
+  /// Refusal of one member never aborts its round-mates; the coordinator
+  /// demultiplexes per member.
+  std::vector<TxnId> refused;
   friend bool operator==(const PrepareAckArgs&,
                          const PrepareAckArgs&) = default;
 };
 
+/// Phase two: which members commit and which abort, in one frame. A frame
+/// with no commits is a fire-and-forget abort. Participants apply all
+/// commits and then run fail-lock maintenance once over the union of the
+/// committed writes. Round 0 marks a decision answer (a reply to
+/// kDecisionQuery from the outcome cache): it names one member and
+/// decides nothing about that member's round-mates.
 struct CommitArgs {
-  TxnId txn = 0;
+  uint64_t round = 0;
+  std::vector<TxnId> commits;
+  std::vector<TxnId> aborts;
   friend bool operator==(const CommitArgs&, const CommitArgs&) = default;
 };
 
 struct CommitAckArgs {
-  TxnId txn = 0;
+  uint64_t round = 0;
   friend bool operator==(const CommitAckArgs&, const CommitAckArgs&) = default;
-};
-
-struct AbortArgs {
-  TxnId txn = 0;
-  friend bool operator==(const AbortArgs&, const AbortArgs&) = default;
 };
 
 struct CopyRequestArgs {
@@ -272,9 +284,11 @@ struct ShutdownArgs {
 };
 
 /// An in-doubt participant (its patience timer fired while a transaction
-/// was still staged) asks the coordinator for the outcome. The coordinator
-/// answers with a Commit or Abort; a transaction it has no record of is
-/// presumed aborted (see docs/PROTOCOL.md, reliable delivery).
+/// was still staged) asks the coordinator for the outcome. A coordinator
+/// still committing the round re-sends the round's commit frame; otherwise
+/// it answers with a round-0 commit frame naming the one member, and a
+/// transaction it has no record of is presumed aborted (see
+/// docs/PROTOCOL.md, reliable delivery).
 struct DecisionQueryArgs {
   TxnId txn = 0;
   friend bool operator==(const DecisionQueryArgs&, const DecisionQueryArgs&) =
@@ -289,73 +303,14 @@ struct ChannelAckArgs {
       default;
 };
 
-/// One member transaction inside a batched prepare: its id and its copy
-/// updates. The session vector and participant set ride once at the batch
-/// level — sharing them is what makes the batch one table update.
-struct BatchMember {
-  TxnId txn = 0;
-  std::vector<ItemWrite> writes;
-  friend bool operator==(const BatchMember&, const BatchMember&) = default;
-};
-
-/// Batched prepare: N member transactions that share one participant set
-/// and were validated under one coordinator session vector. Semantically
-/// equivalent to N kPrepare messages whose session_vector/participants
-/// fields are identical; a batch of one is exactly one such kPrepare.
-struct BatchPrepareArgs {
-  /// Coordinator-local batch id, unique per coordinator (like TxnId).
-  uint64_t batch = 0;
-  std::vector<SessionEntryWire> session_vector;
-  /// Shared participant set (coordinator included), as in PrepareArgs.
-  std::vector<SiteId> participants;
-  std::vector<BatchMember> members;
-  friend bool operator==(const BatchPrepareArgs&,
-                         const BatchPrepareArgs&) = default;
-};
-
-struct BatchPrepareAckArgs {
-  uint64_t batch = 0;
-  /// False = whole-batch refusal on session-vector validation (the same
-  /// veto as PrepareAckArgs::accepted; the vector rides back below). All
-  /// members are then aborted by the coordinator: they were all validated
-  /// under the same stale view.
-  bool accepted = true;
-  std::vector<SessionEntryWire> session_vector;
-  /// Member transactions this participant refused individually (lock
-  /// conflicts under wait-die). Refusal of one member must not abort its
-  /// batch-mates; the coordinator demultiplexes per member.
-  std::vector<TxnId> refused;
-  friend bool operator==(const BatchPrepareAckArgs&,
-                         const BatchPrepareAckArgs&) = default;
-};
-
-/// Batched decision: which members commit and which abort, in one frame.
-/// Participants apply all commits and then run fail-lock maintenance once
-/// over the union of the committed writes (the rows are identical to N
-/// separate updates because the participant set is shared).
-struct BatchCommitArgs {
-  uint64_t batch = 0;
-  std::vector<TxnId> commits;
-  std::vector<TxnId> aborts;
-  friend bool operator==(const BatchCommitArgs&,
-                         const BatchCommitArgs&) = default;
-};
-
-struct BatchCommitAckArgs {
-  uint64_t batch = 0;
-  friend bool operator==(const BatchCommitAckArgs&,
-                         const BatchCommitAckArgs&) = default;
-};
-
 using Payload =
     std::variant<TxnRequestArgs, TxnResult, PrepareArgs, PrepareAckArgs,
-                 CommitArgs, CommitAckArgs, AbortArgs, CopyRequestArgs,
-                 CopyReplyArgs, ClearFailLocksArgs, ClearFailLocksAckArgs,
+                 CommitArgs, CommitAckArgs, CopyRequestArgs, CopyReplyArgs,
+                 ClearFailLocksArgs, ClearFailLocksAckArgs,
                  RecoveryAnnounceArgs, RecoveryInfoArgs, FailureAnnounceArgs,
                  FailureAckArgs, CopyCreateArgs, CopyCreateAckArgs,
                  FailSiteArgs, RecoverSiteArgs, ShutdownArgs,
-                 DecisionQueryArgs, ChannelAckArgs, BatchPrepareArgs,
-                 BatchPrepareAckArgs, BatchCommitArgs, BatchCommitAckArgs>;
+                 DecisionQueryArgs, ChannelAckArgs>;
 
 /// One protocol message. `from`/`to` identify sites (the managing site has
 /// an id too). The payload variant index always matches `type`.

@@ -277,11 +277,15 @@ uint16_t PickEphemeralBasePort() {
   // The pid keeps concurrently running test binaries apart; the counter
   // keeps multiple clusters within one process apart (each cluster uses a
   // contiguous run of ports, so stride by more than any plausible cluster
-  // size).
+  // size). Bases span [20000, 32768 - stride), below the kernel's
+  // ephemeral range.
+  constexpr uint32_t kFirst = 20000;
+  constexpr uint32_t kSpan = 32768 - kClusterPortStride - kFirst;
   static std::atomic<uint32_t> next_cluster{0};
   const uint32_t slot = next_cluster.fetch_add(1);
   return static_cast<uint16_t>(
-      20000 + (uint32_t(::getpid()) * 37 + slot * 128) % 20000);
+      kFirst +
+      (uint32_t(::getpid()) * 37 + slot * kClusterPortStride) % kSpan);
 }
 
 }  // namespace miniraid

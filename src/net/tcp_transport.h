@@ -128,7 +128,11 @@ class TcpTransport : public Transport {
 /// Returns a base port unlikely to collide between concurrently running
 /// test binaries (derived from the process id) or between multiple TCP
 /// clusters in one process (an atomic per-process counter advances the
-/// range on every call).
+/// range on every call). Every base and the kClusterPortStride ports above
+/// it stay below 32768, where Linux's default ephemeral range
+/// (ip_local_port_range, 32768-60999) begins, so a cluster's listeners
+/// never race the kernel's outgoing-connection ports.
+inline constexpr uint16_t kClusterPortStride = 128;
 uint16_t PickEphemeralBasePort();
 
 }  // namespace miniraid

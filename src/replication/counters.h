@@ -27,10 +27,10 @@ struct SiteCounters {
   // two-phase locking).
   uint64_t max_concurrent_coordinations = 0;
 
-  // -- group commit (batched 2PC, BatchingOptions) -------------------------
-  uint64_t batch_rounds_coordinated = 0;   // BatchPrepare rounds sent
+  // -- commit rounds (every 2PC round, batched or of one) -------------------
+  uint64_t batch_rounds_coordinated = 0;   // rounds opened (kPrepare sent)
   uint64_t batch_members_coordinated = 0;  // member txns those rounds carried
-  uint64_t batch_prepares_handled = 0;     // BatchPrepare frames at this site
+  uint64_t batch_prepares_handled = 0;     // kPrepare frames at this site
 
   // -- copier machinery ---------------------------------------------------
   uint64_t copier_transactions = 0;      // copy requests issued on demand

@@ -65,15 +65,15 @@ struct ConcurrencyOptions {
 
 /// Group commit (batched 2PC). Concurrent coordinations at one site whose
 /// participant sets are identical — under full replication (assumption 4)
-/// that is every concurrent transaction — drain into one BatchPrepare /
-/// BatchCommit round instead of N independent 2PC rounds, and the
-/// participants' fail-lock maintenance for the whole batch collapses into
-/// a single table update. Requires kTwoPhaseLocking (a serial site never
-/// has two coordinations in flight, so there is nothing to batch).
+/// that is every concurrent transaction — drain into one commit round of N
+/// members instead of N rounds of one, and the participants' fail-lock
+/// maintenance for the whole batch collapses into a single table update.
+/// Requires kTwoPhaseLocking (a serial site never has two coordinations in
+/// flight, so there is nothing to batch).
 struct BatchingOptions {
   /// Largest number of member transactions per batch. <= 1 disables
   /// batching entirely — the default, and the paper's measured behavior
-  /// (one 2PC round per transaction).
+  /// (every transaction commits through a round of its own).
   uint32_t max_batch = 1;
 
   /// How long the first member of a forming batch waits for company
@@ -161,13 +161,14 @@ struct SiteOptions {
   ConcurrencyOptions concurrency;
 
   /// Group commit (batched 2PC): coalesces concurrent coordinations that
-  /// share a participant set into one BatchPrepare/BatchCommit round with
-  /// a single fail-lock table update per participant. Only effective under
+  /// share a participant set into one commit round with a single
+  /// fail-lock table update per participant. Only effective under
   /// kTwoPhaseLocking; defaults off (max_batch = 1). See BatchingOptions.
   BatchingOptions batching;
 
   /// Optional shared protocol trace (not owned; must outlive the sites).
-  /// Only enable under the simulator — TraceLog is not thread-safe.
+  /// TraceLog is mutex-guarded, so one log may be shared by sites running
+  /// on separate threads (real runtimes) as well as under the simulator.
   TraceLog* trace = nullptr;
 
   /// Durability hook: invoked from the site's execution context after every

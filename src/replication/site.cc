@@ -98,9 +98,6 @@ void Site::OnMessage(const Message& msg) {
     case MsgType::kCommitAck:
       HandleCommitAck(msg);
       break;
-    case MsgType::kAbort:
-      HandleAbort(msg);
-      break;
     case MsgType::kCopyRequest:
       HandleCopyRequest(msg);
       break;
@@ -140,18 +137,6 @@ void Site::OnMessage(const Message& msg) {
     case MsgType::kDecisionQuery:
       HandleDecisionQuery(msg);
       break;
-    case MsgType::kBatchPrepare:
-      HandleBatchPrepare(msg);
-      break;
-    case MsgType::kBatchPrepareAck:
-      HandleBatchPrepareAck(msg);
-      break;
-    case MsgType::kBatchCommit:
-      HandleBatchCommit(msg);
-      break;
-    case MsgType::kBatchCommitAck:
-      HandleBatchCommitAck(msg);
-      break;
     case MsgType::kChannelAck:
       // Consumed by the ReliableChannel below this handler; one reaching
       // the site (channel disabled) carries nothing to act on.
@@ -175,11 +160,11 @@ void Site::Crash() {
     runtime_->CancelTimer(forming.timer);
   }
   forming_batches_.clear();
-  for (auto& [batch_id, active] : active_batches_) {
-    runtime_->CancelTimer(active.timer);
+  for (auto& [round_id, round] : rounds_) {
+    runtime_->CancelTimer(round.timer);
   }
-  active_batches_.clear();
-  batch_participations_.clear();
+  rounds_.clear();
+  round_participations_.clear();
   for (auto& [txn, participation] : participations_) {
     runtime_->CancelTimer(participation.timer);
     runtime_->CancelTimer(participation.lock_timer);
@@ -543,67 +528,45 @@ void Site::ExecuteAndPrepare(Coordination& c) {
   // every operational site".
   c.participants = OperationalPeers();
   if (c.participants.empty()) {
-    FinishCommit(c);
+    // No peer to ask: "commit database data items; update fail-locks for
+    // data items" at once, with this site as the whole participant set.
+    CommitLocalWrites(c.txn.id, c.writes, {id_});
+    ++counters_.txns_committed;
+    ReplyAndClear(c, TxnOutcome::kCommitted);
     return;
   }
   c.phase = Coordination::Phase::kPrepare;
   c.phase_start = runtime_->Now();
-  c.retries_used = 0;
   if (options_.batching.enabled() && options_.concurrency.locking()) {
     // Group commit: coalesce with other prepare-ready coordinations toward
-    // the same participant set instead of opening a private 2PC round.
+    // the same participant set into one round.
     EnqueueIntoBatch(c);
     return;
   }
-  SendSingletonPrepares(c);
-}
-
-void Site::SendSingletonPrepares(Coordination& c) {
-  c.awaiting.insert(c.participants.begin(), c.participants.end());
-  // The wire participant set includes the coordinator: commit-time
-  // maintenance needs the full set, identical at every site.
-  std::vector<SiteId> wire_participants = c.participants;
-  wire_participants.push_back(id_);
-  std::sort(wire_participants.begin(), wire_participants.end());
-  const std::vector<SessionEntryWire> vector_wire = session_vector_.ToWire();
-  for (SiteId p : c.participants) {
-    Charge(options_.costs.prepare_send_per_site);
-    SendTo(p, PrepareArgs{c.txn.id, c.writes, vector_wire, wire_participants});
-  }
-  const TxnId txn = c.txn.id;
-  c.timer = runtime_->ScheduleAfter(
-      options_.ack_timeout,
-      [this, txn] { CoordinationTimeout(txn, /*batch=*/false); });
+  OpenRound(c.participants, {c.txn.id});
 }
 
 // ---------------------------------------------------------------------------
-// Group commit, coordinator side.
+// Commit rounds, coordinator side.
 // ---------------------------------------------------------------------------
 
 void Site::EnqueueIntoBatch(Coordination& c) {
   // The member holds every lock it needs and the decision to prepare is
   // made: pin now, so a wound-wait elder can never abort a transaction a
-  // batch frame already (or imminently) carries. Batch membership is the
+  // round frame already (or imminently) carries. Batch membership is the
   // point of no return for wounding, like SendPrepareAck on participants.
-  if (options_.concurrency.locking()) lock_manager_.Pin(c.txn.id);
-  c.group = kFormingGroup;
+  lock_manager_.Pin(c.txn.id);
   std::vector<SiteId> wire_participants = c.participants;
   wire_participants.push_back(id_);
   std::sort(wire_participants.begin(), wire_participants.end());
   FormingBatch& forming = forming_batches_[wire_participants];
-  if (forming.members.empty()) {
-    forming.participants = c.participants;
-    forming.wire_participants = wire_participants;
-  }
+  if (forming.members.empty()) forming.participants = c.participants;
   forming.members.push_back(c.txn.id);
   if (forming.members.size() >= options_.batching.max_batch) {
     FormingBatch ready = std::move(forming);
     forming_batches_.erase(wire_participants);
-    if (ready.timer != kInvalidTimer) {
-      runtime_->CancelTimer(ready.timer);
-      ready.timer = kInvalidTimer;
-    }
-    FlushFormingBatch(std::move(ready));
+    if (ready.timer != kInvalidTimer) runtime_->CancelTimer(ready.timer);
+    OpenRound(std::move(ready.participants), std::move(ready.members));
     return;
   }
   if (forming.timer == kInvalidTimer) {
@@ -616,321 +579,68 @@ void Site::EnqueueIntoBatch(Coordination& c) {
           if (it == forming_batches_.end()) return;
           FormingBatch ready = std::move(it->second);
           forming_batches_.erase(it);
-          ready.timer = kInvalidTimer;
-          FlushFormingBatch(std::move(ready));
+          OpenRound(std::move(ready.participants), std::move(ready.members));
         });
   }
 }
 
-void Site::FlushFormingBatch(FormingBatch forming) {
-  if (forming.members.empty()) return;
-  if (forming.members.size() == 1) {
-    // A batch of one gains nothing from the batch frames; degrade to the
-    // singleton path, byte-identical on the wire to never having batched.
-    auto it = coords_.find(forming.members.front());
-    if (it == coords_.end()) return;
-    it->second.group = 0;
-    SendSingletonPrepares(it->second);
-    return;
-  }
-  ActiveBatch b;
-  b.id = next_batch_id_++;
-  b.participants = std::move(forming.participants);
-  b.wire_participants = std::move(forming.wire_participants);
-  b.members = std::move(forming.members);
-  b.phase = ActiveBatch::Phase::kPrepare;
-  b.phase_start = runtime_->Now();
-  b.awaiting.insert(b.participants.begin(), b.participants.end());
-  ++counters_.batch_rounds_coordinated;
-  counters_.batch_members_coordinated += b.members.size();
-  BatchPrepareArgs args;
-  args.batch = b.id;
+PrepareArgs Site::PrepareFrame(const Round& r) const {
+  PrepareArgs args;
+  args.round = r.id;
   args.session_vector = session_vector_.ToWire();
-  args.participants = b.wire_participants;
-  for (TxnId member : b.members) {
-    auto cit = coords_.find(member);
-    if (cit == coords_.end()) continue;  // defensive; members cannot die
-    cit->second.group = b.id;
-    args.members.push_back(BatchMember{member, cit->second.writes});
+  args.participants = r.wire_participants;
+  for (TxnId member : r.members) {
+    auto it = coords_.find(member);
+    if (it == coords_.end()) continue;  // defensive; members cannot die
+    args.members.push_back(RoundMember{member, it->second.writes});
   }
-  for (SiteId p : b.participants) {
+  return args;
+}
+
+void Site::OpenRound(std::vector<SiteId> participants,
+                     std::vector<TxnId> members) {
+  Round r;
+  r.id = next_round_id_++;
+  // The wire participant set includes the coordinator: commit-time
+  // maintenance needs the full set, identical at every site.
+  r.wire_participants = participants;
+  r.wire_participants.push_back(id_);
+  std::sort(r.wire_participants.begin(), r.wire_participants.end());
+  r.participants = std::move(participants);
+  r.members = std::move(members);
+  r.phase_start = runtime_->Now();
+  r.awaiting.insert(r.participants.begin(), r.participants.end());
+  ++counters_.batch_rounds_coordinated;
+  counters_.batch_members_coordinated += r.members.size();
+  for (TxnId member : r.members) {
+    auto it = coords_.find(member);
+    if (it != coords_.end()) it->second.round = r.id;
+  }
+  const PrepareArgs args = PrepareFrame(r);
+  for (SiteId p : r.participants) {
     Charge(options_.costs.prepare_send_per_site);
     SendTo(p, args);
   }
-  const uint64_t batch_id = b.id;
-  b.timer = runtime_->ScheduleAfter(options_.ack_timeout,
-                                    [this, batch_id] { BatchTimeout(batch_id); });
-  active_batches_.emplace(batch_id, std::move(b));
-}
-
-void Site::HandleBatchPrepareAck(const Message& msg) {
-  const auto& args = msg.As<BatchPrepareAckArgs>();
-  auto it = active_batches_.find(args.batch);
-  if (it == active_batches_.end() ||
-      it->second.phase != ActiveBatch::Phase::kPrepare) {
-    ++counters_.duplicate_msgs_ignored;
-    return;
-  }
-  ActiveBatch& b = it->second;
-  if (!args.accepted) {
-    // Whole-batch session-vector veto: every member was validated under
-    // the same stale view, so all of them abort (exactly the singleton
-    // kAbortedStaleView path, N times over one returned vector).
-    if (!args.session_vector.empty()) {
-      const Status merged = session_vector_.MergeFrom(args.session_vector);
-      if (!merged.ok()) {
-        MR_LOG(kWarn) << "site " << id_
-                      << ": bad session vector in batch prepare ack: "
-                      << merged.ToString();
-      }
-    }
-    runtime_->CancelTimer(b.timer);
-    ActiveBatch dead = std::move(b);
-    active_batches_.erase(it);
-    AbortWholeBatch(dead, TxnOutcome::kAbortedStaleView, dead.participants);
-    return;
-  }
-  // Member-level lock refusals are sticky across participants: a member
-  // any participant refused cannot commit, but its batch-mates still can.
-  for (TxnId refused : args.refused) b.refused.insert(refused);
-  b.awaiting.erase(msg.from);
-  if (b.awaiting.empty()) {
-    runtime_->CancelTimer(b.timer);
-    b.timer = kInvalidTimer;
-    StartBatchCommitPhase(b);
-  }
-}
-
-void Site::StartBatchCommitPhase(ActiveBatch& b) {
-  const TimePoint now = runtime_->Now();
-  b.commits.clear();
-  b.aborts.clear();
-  for (TxnId member : b.members) {
-    if (b.refused.count(member)) {
-      b.aborts.push_back(member);
-    } else {
-      b.commits.push_back(member);
-    }
-  }
-  for (TxnId member : b.commits) {
-    auto cit = coords_.find(member);
-    if (cit == coords_.end()) continue;
-    counters_.phase_prepare_time.Add(now - cit->second.phase_start);
-    // Members answer commit-phase decision queries from here on.
-    cit->second.phase = Coordination::Phase::kCommit;
-    cit->second.phase_start = now;
-  }
-  if (b.commits.empty()) {
-    // Every member was refused: the one frame tells the participants to
-    // discard, and there is nothing to await (abort is fire-and-forget,
-    // as in singleton 2PC).
-    BatchCommitArgs args{b.id, {}, b.aborts};
-    for (SiteId p : b.participants) {
-      Charge(options_.costs.ack_format);
-      SendTo(p, args);
-    }
-    ActiveBatch dead = std::move(b);
-    active_batches_.erase(dead.id);
-    for (TxnId member : dead.aborts) {
-      auto cit = coords_.find(member);
-      if (cit == coords_.end()) continue;
-      ++counters_.txns_aborted_lock_conflict;
-      ReplyAndClear(cit->second, TxnOutcome::kAbortedLockConflict);
-    }
-    return;
-  }
-  b.phase = ActiveBatch::Phase::kCommit;
-  b.phase_start = now;
-  b.retries_used = 0;
-  b.awaiting.insert(b.participants.begin(), b.participants.end());
-  BatchCommitArgs args{b.id, b.commits, b.aborts};
-  for (SiteId p : b.participants) {
-    Charge(options_.costs.ack_format);
-    SendTo(p, args);
-  }
-  const uint64_t batch_id = b.id;
-  b.timer = runtime_->ScheduleAfter(options_.ack_timeout,
-                                    [this, batch_id] { BatchTimeout(batch_id); });
-  // Refused members are finished now — their abort must not wait for the
-  // batch-mates' commit acks. ReplyAndClear re-enters the queue drain, so
-  // work off a copy of the list, not the live batch state.
-  const std::vector<TxnId> aborted = b.aborts;
-  for (TxnId member : aborted) {
-    auto cit = coords_.find(member);
-    if (cit == coords_.end()) continue;
-    ++counters_.txns_aborted_lock_conflict;
-    ReplyAndClear(cit->second, TxnOutcome::kAbortedLockConflict);
-  }
-}
-
-void Site::HandleBatchCommitAck(const Message& msg) {
-  const auto& args = msg.As<BatchCommitAckArgs>();
-  auto it = active_batches_.find(args.batch);
-  if (it == active_batches_.end() ||
-      it->second.phase != ActiveBatch::Phase::kCommit) {
-    ++counters_.duplicate_msgs_ignored;
-    return;
-  }
-  ActiveBatch& b = it->second;
-  b.awaiting.erase(msg.from);
-  if (b.awaiting.empty()) {
-    runtime_->CancelTimer(b.timer);
-    ActiveBatch done = std::move(b);
-    active_batches_.erase(it);
-    FinishBatchCommit(done);
-  }
-}
-
-void Site::FinishBatchCommit(ActiveBatch& b) {
-  const TimePoint now = runtime_->Now();
-  // Install every member's writes first (per-member, so last-writer-wins
-  // version ordering is preserved), then maintain fail-locks ONCE over the
-  // deduplicated union: the participant set is shared, so per item the
-  // maintained row is identical no matter which member wrote it, and the
-  // whole batch costs one table update instead of one per member.
-  std::vector<ItemWrite> union_writes;
-  for (TxnId member : b.commits) {
-    auto cit = coords_.find(member);
-    if (cit == coords_.end()) continue;
-    counters_.phase_commit_time.Add(now - b.phase_start);
-    CommitLocalWrites(member, cit->second.writes, b.wire_participants,
-                      /*maintain_now=*/false);
-    for (const ItemWrite& write : cit->second.writes) {
-      const bool seen = std::any_of(
-          union_writes.begin(), union_writes.end(),
-          [&write](const ItemWrite& u) { return u.item == write.item; });
-      if (!seen) union_writes.push_back(write);
-    }
-  }
-  if (options_.maintain_fail_locks && !union_writes.empty()) {
-    MaintainFailLocks(union_writes, b.wire_participants);
-  }
-  // Reply per member only after every install and the maintenance ran:
-  // each member lands in the outcome cache individually, so a later
-  // duplicated frame or decision query about any one of them is answered
-  // without consulting batch state (which is gone).
-  for (TxnId member : b.commits) {
-    auto cit = coords_.find(member);
-    if (cit == coords_.end()) continue;
-    ++counters_.txns_committed;
-    ReplyAndClear(cit->second, TxnOutcome::kCommitted);
-  }
-}
-
-void Site::BatchTimeout(uint64_t batch_id) {
-  auto it = active_batches_.find(batch_id);
-  if (it == active_batches_.end() || it->second.timer == kInvalidTimer) return;
-  ActiveBatch& b = it->second;
-  b.timer = kInvalidTimer;
-
-  if (b.retries_used < options_.retry_limit) {
-    ++b.retries_used;
-    if (b.phase == ActiveBatch::Phase::kPrepare) {
-      BatchPrepareArgs args;
-      args.batch = b.id;
-      args.session_vector = session_vector_.ToWire();
-      args.participants = b.wire_participants;
-      for (TxnId member : b.members) {
-        auto cit = coords_.find(member);
-        if (cit == coords_.end()) continue;
-        args.members.push_back(BatchMember{member, cit->second.writes});
-      }
-      for (SiteId p : b.awaiting) {
-        ++counters_.phase_retransmits;
-        Charge(options_.costs.prepare_send_per_site);
-        SendTo(p, args);
-      }
-    } else {
-      for (SiteId p : b.awaiting) {
-        ++counters_.phase_retransmits;
-        Charge(options_.costs.ack_format);
-        SendTo(p, BatchCommitArgs{b.id, b.commits, b.aborts});
-      }
-    }
-    b.timer = runtime_->ScheduleAfter(
-        RetryDelay(options_.ack_timeout, b.retries_used,
-                   options_.retry_backoff),
-        [this, batch_id] { BatchTimeout(batch_id); });
-    return;
-  }
-
-  const std::vector<SiteId> silent(b.awaiting.begin(), b.awaiting.end());
-  if (b.phase == ActiveBatch::Phase::kPrepare) {
-    // "a participating site has failed": every member aborts (none was
-    // fully prepared), the responsive participants discard in one frame,
-    // and the silent ones are announced via control type 2.
-    std::vector<SiteId> responsive;
-    for (SiteId p : b.participants) {
-      if (!b.awaiting.count(p)) responsive.push_back(p);
-    }
-    counters_.txns_aborted_participant += b.members.size();
-    ActiveBatch dead = std::move(b);
-    active_batches_.erase(batch_id);
-    AbortWholeBatch(dead, TxnOutcome::kAbortedParticipantFailed, responsive);
-    RunControlType2(silent);
-    return;
-  }
-  // Commit phase: the decision stands. The silent sites leave the
-  // participant set first — exactly as in singleton 2PC — so the coalesced
-  // maintenance fail-locks their copies instead of clearing them.
-  auto drop_silent = [&b](std::vector<SiteId>& sites) {
-    sites.erase(std::remove_if(sites.begin(), sites.end(),
-                               [&b](SiteId p) { return b.awaiting.count(p); }),
-                sites.end());
-  };
-  drop_silent(b.participants);
-  drop_silent(b.wire_participants);
-  for (TxnId member : b.commits) {
-    auto cit = coords_.find(member);
-    if (cit != coords_.end()) drop_silent(cit->second.participants);
-  }
-  ActiveBatch done = std::move(b);
-  active_batches_.erase(batch_id);
-  FinishBatchCommit(done);
-  RunControlType2(silent);
-}
-
-void Site::AbortWholeBatch(ActiveBatch& b, TxnOutcome outcome,
-                           const std::vector<SiteId>& notify) {
-  if (!notify.empty()) {
-    // One frame tells every responsive participant to discard all the
-    // members' staging; like singleton kAbort it is fire-and-forget.
-    BatchCommitArgs args{b.id, {}, b.members};
-    for (SiteId p : notify) {
-      Charge(options_.costs.ack_format);
-      SendTo(p, args);
-    }
-  }
-  for (TxnId member : b.members) {
-    auto cit = coords_.find(member);
-    if (cit == coords_.end()) continue;
-    ReplyAndClear(cit->second, outcome);
-  }
+  const uint64_t round_id = r.id;
+  r.timer = runtime_->ScheduleAfter(
+      options_.ack_timeout, [this, round_id] { RoundTimeout(round_id); });
+  rounds_.emplace(round_id, std::move(r));
 }
 
 void Site::HandlePrepareAck(const Message& msg) {
   const auto& args = msg.As<PrepareAckArgs>();
-  auto it = coords_.find(args.txn);
-  if (it == coords_.end() ||
-      it->second.phase != Coordination::Phase::kPrepare) {
-    return;
-  }
-  if (it->second.group != 0) {
-    // A batched (or still-forming) member's prepare fate is decided by its
-    // batch's acks; a singleton ack for it carries no information (its
-    // `awaiting` is empty, so falling through would start a private commit
-    // phase against a still-undecided batch).
+  auto it = rounds_.find(args.round);
+  if (it == rounds_.end() || it->second.phase != Round::Phase::kPrepare) {
     ++counters_.duplicate_msgs_ignored;
     return;
   }
-  Coordination& c = it->second;
+  Round& r = it->second;
   if (!args.accepted) {
-    // A participant refused (wait-die lock conflict or session-vector
-    // veto): abort everywhere. On a veto the refusal carries the
-    // participant's vector; merging it catches this coordinator up so a
-    // retried transaction picks the right participant set.
-    const bool stale_view = !args.session_vector.empty();
-    if (stale_view) {
+    // Session-vector veto: every member was validated under the same stale
+    // view, so all of them abort. Merging the returned vector catches this
+    // coordinator up so a retried transaction picks the right participant
+    // set.
+    if (!args.session_vector.empty()) {
       const Status merged = session_vector_.MergeFrom(args.session_vector);
       if (!merged.ok()) {
         MR_LOG(kWarn) << "site " << id_
@@ -938,76 +648,224 @@ void Site::HandlePrepareAck(const Message& msg) {
                       << merged.ToString();
       }
     }
-    runtime_->CancelTimer(c.timer);
-    c.timer = kInvalidTimer;
-    for (SiteId p : c.participants) {
-      Charge(options_.costs.ack_format);
-      SendTo(p, AbortArgs{c.txn.id});
-    }
-    if (stale_view) {
-      ReplyAndClear(c, TxnOutcome::kAbortedStaleView);
-    } else {
-      ++counters_.txns_aborted_lock_conflict;
-      ReplyAndClear(c, TxnOutcome::kAbortedLockConflict);
-    }
+    runtime_->CancelTimer(r.timer);
+    Round dead = std::move(r);
+    rounds_.erase(it);
+    AbortRound(dead, TxnOutcome::kAbortedStaleView, dead.participants);
     return;
   }
-  c.awaiting.erase(msg.from);
-  if (c.awaiting.empty()) {
-    runtime_->CancelTimer(c.timer);
-    c.timer = kInvalidTimer;
-    counters_.phase_prepare_time.Add(runtime_->Now() - c.phase_start);
-    StartCommitPhase(c);
+  // Member-level lock refusals are sticky across participants: a member
+  // any participant refused cannot commit, but its round-mates still can.
+  for (TxnId refused : args.refused) {
+    if (std::find(r.members.begin(), r.members.end(), refused) !=
+        r.members.end()) {
+      r.refused.insert(refused);
+    }
+  }
+  if (r.refused.size() == r.members.size()) {
+    // Every member refused: nothing can commit, so abort everywhere now
+    // rather than after the remaining acks.
+    runtime_->CancelTimer(r.timer);
+    Round dead = std::move(r);
+    rounds_.erase(it);
+    counters_.txns_aborted_lock_conflict += dead.members.size();
+    AbortRound(dead, TxnOutcome::kAbortedLockConflict, dead.participants);
+    return;
+  }
+  r.awaiting.erase(msg.from);
+  if (r.awaiting.empty()) {
+    runtime_->CancelTimer(r.timer);
+    r.timer = kInvalidTimer;
+    StartCommitPhase(r);
   }
 }
 
-void Site::StartCommitPhase(Coordination& c) {
-  c.phase = Coordination::Phase::kCommit;
-  c.phase_start = runtime_->Now();
-  c.retries_used = 0;
-  c.awaiting.insert(c.participants.begin(), c.participants.end());
-  if (options_.concurrency.locking()) {
+void Site::StartCommitPhase(Round& r) {
+  const TimePoint now = runtime_->Now();
+  r.commits.clear();
+  r.aborts.clear();
+  for (TxnId member : r.members) {
+    (r.refused.count(member) ? r.aborts : r.commits).push_back(member);
+  }
+  for (TxnId member : r.commits) {
+    auto it = coords_.find(member);
+    if (it == coords_.end()) continue;
+    counters_.phase_prepare_time.Add(now - it->second.phase_start);
     // Past the point of no return: the decision to commit is made, so a
     // wound-wait abort is no longer possible (see LockManager::Pin).
-    lock_manager_.Pin(c.txn.id);
+    if (options_.concurrency.locking()) lock_manager_.Pin(member);
+    // Members answer commit-phase decision queries from here on.
+    it->second.phase = Coordination::Phase::kCommit;
   }
-  for (SiteId p : c.participants) {
+  r.phase = Round::Phase::kCommit;
+  r.phase_start = now;
+  r.retries_used = 0;
+  r.awaiting.insert(r.participants.begin(), r.participants.end());
+  const CommitArgs args{r.id, r.commits, r.aborts};
+  for (SiteId p : r.participants) {
     Charge(options_.costs.ack_format);
-    SendTo(p, CommitArgs{c.txn.id});
+    SendTo(p, args);
   }
-  const TxnId txn = c.txn.id;
-  c.timer = runtime_->ScheduleAfter(
-      options_.ack_timeout,
-      [this, txn] { CoordinationTimeout(txn, /*batch=*/false); });
+  const uint64_t round_id = r.id;
+  r.timer = runtime_->ScheduleAfter(
+      options_.ack_timeout, [this, round_id] { RoundTimeout(round_id); });
+  // Refused members are finished now — their abort must not wait for the
+  // round-mates' commit acks. ReplyAndClear re-enters the queue drain, so
+  // work off a copy of the list, not the live round state.
+  const std::vector<TxnId> aborted = r.aborts;
+  for (TxnId member : aborted) {
+    auto it = coords_.find(member);
+    if (it == coords_.end()) continue;
+    ++counters_.txns_aborted_lock_conflict;
+    ReplyAndClear(it->second, TxnOutcome::kAbortedLockConflict);
+  }
 }
 
 void Site::HandleCommitAck(const Message& msg) {
-  const TxnId txn = msg.As<CommitAckArgs>().txn;
-  auto it = coords_.find(txn);
-  if (it == coords_.end() ||
-      it->second.phase != Coordination::Phase::kCommit) {
+  auto it = rounds_.find(msg.As<CommitAckArgs>().round);
+  if (it == rounds_.end() || it->second.phase != Round::Phase::kCommit) {
+    ++counters_.duplicate_msgs_ignored;
     return;
   }
-  Coordination& c = it->second;
-  c.awaiting.erase(msg.from);
-  if (c.awaiting.empty()) {
-    runtime_->CancelTimer(c.timer);
-    c.timer = kInvalidTimer;
-    counters_.phase_commit_time.Add(runtime_->Now() - c.phase_start);
-    FinishCommit(c);
+  Round& r = it->second;
+  r.awaiting.erase(msg.from);
+  if (!r.awaiting.empty()) return;
+  runtime_->CancelTimer(r.timer);
+  const Duration elapsed = runtime_->Now() - r.phase_start;
+  for (size_t i = 0; i < r.commits.size(); ++i) {
+    counters_.phase_commit_time.Add(elapsed);
+  }
+  Round done = std::move(r);
+  rounds_.erase(it);
+  FinishRound(done);
+}
+
+void Site::FinishRound(Round& r) {
+  // "commit database data items; update fail-locks for data items" — the
+  // coordinator's local commit happens after phase two completes, inside
+  // this one event, so it is atomic w.r.t. every concurrent executor.
+  // Install every member's writes first (per member, so last-writer-wins
+  // version ordering is preserved), then maintain fail-locks ONCE over the
+  // deduplicated union: the participant set is shared, so per item the
+  // maintained row is identical no matter which member wrote it.
+  std::vector<ItemWrite> union_writes;
+  for (TxnId member : r.commits) {
+    auto it = coords_.find(member);
+    if (it == coords_.end()) continue;
+    CommitLocalWrites(member, it->second.writes, r.wire_participants,
+                      /*maintain_now=*/false);
+    for (const ItemWrite& write : it->second.writes) {
+      const bool seen = std::any_of(
+          union_writes.begin(), union_writes.end(),
+          [&write](const ItemWrite& u) { return u.item == write.item; });
+      if (!seen) union_writes.push_back(write);
+    }
+  }
+  if (options_.maintain_fail_locks && !union_writes.empty()) {
+    MaintainFailLocks(union_writes, r.wire_participants);
+  }
+  // Reply per member only after every install and the maintenance ran:
+  // each member lands in the outcome cache individually, so a later
+  // duplicated frame or decision query about any one of them is answered
+  // without consulting round state (which is gone).
+  for (TxnId member : r.commits) {
+    auto it = coords_.find(member);
+    if (it == coords_.end()) continue;
+    ++counters_.txns_committed;
+    ReplyAndClear(it->second, TxnOutcome::kCommitted);
   }
 }
 
-void Site::FinishCommit(Coordination& c) {
-  // "commit database data items; update fail-locks for data items" — the
-  // coordinator's local commit happens after phase two completes. The
-  // write install and the fail-lock maintenance below run inside this one
-  // event, so they are atomic w.r.t. every concurrent executor.
-  std::vector<SiteId> participants = c.participants;
-  participants.push_back(id_);
-  CommitLocalWrites(c.txn.id, c.writes, participants);
-  ++counters_.txns_committed;
-  ReplyAndClear(c, TxnOutcome::kCommitted);
+void Site::RoundTimeout(uint64_t round_id) {
+  auto it = rounds_.find(round_id);
+  if (it == rounds_.end() || it->second.timer == kInvalidTimer) return;
+  Round& r = it->second;
+  r.timer = kInvalidTimer;
+
+  // Lossy-network retries: before declaring the silent participants
+  // failed, re-send the current phase's frame to exactly the sites still
+  // owed a reply, with the next wait stretched by retry_backoff. Both
+  // frames are idempotent at the receiver (a duplicate kPrepare re-acks, a
+  // duplicate kCommit after teardown re-acks from the outcome cache), so
+  // re-sending is safe even when the original was delivered and only the
+  // reply was lost.
+  if (r.retries_used < options_.retry_limit) {
+    ++r.retries_used;
+    if (r.phase == Round::Phase::kPrepare) {
+      const PrepareArgs args = PrepareFrame(r);
+      for (SiteId p : r.awaiting) {
+        ++counters_.phase_retransmits;
+        Charge(options_.costs.prepare_send_per_site);
+        SendTo(p, args);
+      }
+    } else {
+      const CommitArgs args{r.id, r.commits, r.aborts};
+      for (SiteId p : r.awaiting) {
+        ++counters_.phase_retransmits;
+        Charge(options_.costs.ack_format);
+        SendTo(p, args);
+      }
+    }
+    r.timer = runtime_->ScheduleAfter(
+        RetryDelay(options_.ack_timeout, r.retries_used,
+                   options_.retry_backoff),
+        [this, round_id] { RoundTimeout(round_id); });
+    return;
+  }
+
+  const std::vector<SiteId> silent(r.awaiting.begin(), r.awaiting.end());
+  if (r.phase == Round::Phase::kPrepare) {
+    // "a participating site has failed": every member aborts (none was
+    // fully prepared), the responsive participants discard in one frame,
+    // and the silent ones are announced via control type 2.
+    std::vector<SiteId> responsive;
+    for (SiteId p : r.participants) {
+      if (!r.awaiting.count(p)) responsive.push_back(p);
+    }
+    counters_.txns_aborted_participant += r.members.size();
+    Round dead = std::move(r);
+    rounds_.erase(it);
+    AbortRound(dead, TxnOutcome::kAbortedParticipantFailed, responsive);
+    RunControlType2(silent);
+    return;
+  }
+  // "if commit ack not received from all participating sites then run
+  // control type 2" — but the round still commits. The silent sites leave
+  // the participant set first: they may have crashed before applying the
+  // writes, so the coordinator's maintenance must fail-lock their copies
+  // rather than clear them (their recovery will sort out which it was — a
+  // spurious lock only costs a refresh).
+  auto drop_silent = [&r](std::vector<SiteId>& sites) {
+    sites.erase(std::remove_if(sites.begin(), sites.end(),
+                               [&r](SiteId p) { return r.awaiting.count(p); }),
+                sites.end());
+  };
+  drop_silent(r.participants);
+  drop_silent(r.wire_participants);
+  for (TxnId member : r.commits) {
+    auto cit = coords_.find(member);
+    if (cit != coords_.end()) drop_silent(cit->second.participants);
+  }
+  Round done = std::move(r);
+  rounds_.erase(it);
+  FinishRound(done);
+  RunControlType2(silent);
+}
+
+void Site::AbortRound(Round& r, TxnOutcome outcome,
+                      const std::vector<SiteId>& notify) {
+  // One abort-only frame tells every notified participant to discard all
+  // the members' staging; like any abort it is fire-and-forget.
+  const CommitArgs args{r.id, {}, r.members};
+  for (SiteId p : notify) {
+    Charge(options_.costs.ack_format);
+    SendTo(p, args);
+  }
+  for (TxnId member : r.members) {
+    auto it = coords_.find(member);
+    if (it == coords_.end()) continue;
+    ReplyAndClear(it->second, outcome);
+  }
 }
 
 void Site::CoordinationTimeout(TxnId txn, bool batch) {
@@ -1018,44 +876,16 @@ void Site::CoordinationTimeout(TxnId txn, bool batch) {
   Coordination& c = *cp;
   c.timer = kInvalidTimer;
 
-  // Lossy-network retries: before declaring the silent parties failed,
-  // re-send the current phase's message to exactly the sites still owed a
-  // reply, with the next wait stretched by retry_backoff. Every phase
-  // message is idempotent at the receiver (duplicate Prepare re-acks,
-  // duplicate CommitDecision after teardown re-acks from the outcome
-  // cache, duplicate copy requests re-serve), so re-sending is safe even
-  // when the original was delivered and only the reply was lost.
+  // Lossy-network retries: before declaring the silent sources failed,
+  // re-send the copy requests still owed a reply, with the next wait
+  // stretched by retry_backoff. A duplicate copy request is simply served
+  // again, so re-sending is safe even when only the reply was lost.
   if (c.retries_used < options_.retry_limit) {
     ++c.retries_used;
-    switch (c.phase) {
-      case Coordination::Phase::kCopier:
-        for (const auto& [source, items] : c.copies_pending) {
-          ++counters_.phase_retransmits;
-          Charge(options_.costs.ack_format);
-          SendTo(source, CopyRequestArgs{c.txn.id, items});
-        }
-        break;
-      case Coordination::Phase::kPrepare: {
-        std::vector<SiteId> wire_participants = c.participants;
-        wire_participants.push_back(id_);
-        std::sort(wire_participants.begin(), wire_participants.end());
-        const std::vector<SessionEntryWire> vector_wire =
-            session_vector_.ToWire();
-        for (SiteId p : c.awaiting) {
-          ++counters_.phase_retransmits;
-          Charge(options_.costs.prepare_send_per_site);
-          SendTo(p, PrepareArgs{c.txn.id, c.writes, vector_wire,
-                                wire_participants});
-        }
-        break;
-      }
-      case Coordination::Phase::kCommit:
-        for (SiteId p : c.awaiting) {
-          ++counters_.phase_retransmits;
-          Charge(options_.costs.ack_format);
-          SendTo(p, CommitArgs{c.txn.id});
-        }
-        break;
+    for (const auto& [source, items] : c.copies_pending) {
+      ++counters_.phase_retransmits;
+      Charge(options_.costs.ack_format);
+      SendTo(source, CopyRequestArgs{c.txn.id, items});
     }
     c.timer = runtime_->ScheduleAfter(
         RetryDelay(options_.ack_timeout, c.retries_used,
@@ -1064,54 +894,19 @@ void Site::CoordinationTimeout(TxnId txn, bool batch) {
     return;
   }
 
-  switch (c.phase) {
-    case Coordination::Phase::kCopier: {
-      // "site to which copy request sent is now down": abort the database
-      // transaction and announce the failure (control type 2).
-      std::vector<SiteId> silent;
-      for (const auto& [source, items] : c.copies_pending) {
-        silent.push_back(source);
-      }
-      if (!batch) {
-        ++counters_.txns_aborted_copier;
-        ReplyAndClear(c, TxnOutcome::kAbortedCopierFailed);
-      } else {
-        batch_.reset();
-      }
-      RunControlType2(silent);
-      break;
-    }
-    case Coordination::Phase::kPrepare: {
-      // "a participating site has failed": abort + control type 2.
-      std::vector<SiteId> silent(c.awaiting.begin(), c.awaiting.end());
-      for (SiteId p : c.participants) {
-        if (!c.awaiting.count(p)) {
-          Charge(options_.costs.ack_format);
-          SendTo(p, AbortArgs{c.txn.id});
-        }
-      }
-      ++counters_.txns_aborted_participant;
-      ReplyAndClear(c, TxnOutcome::kAbortedParticipantFailed);
-      RunControlType2(silent);
-      break;
-    }
-    case Coordination::Phase::kCommit: {
-      // "if commit ack not received from all participating sites then run
-      // control type 2" — but the transaction still commits. The silent
-      // sites leave the participant set first: they may have crashed
-      // before applying the write, so the coordinator's maintenance must
-      // fail-lock their copies rather than clear them (their recovery will
-      // sort out which it was — a spurious lock only costs a refresh).
-      std::vector<SiteId> silent(c.awaiting.begin(), c.awaiting.end());
-      c.participants.erase(
-          std::remove_if(c.participants.begin(), c.participants.end(),
-                         [&c](SiteId p) { return c.awaiting.count(p) > 0; }),
-          c.participants.end());
-      FinishCommit(c);
-      RunControlType2(silent);
-      break;
-    }
+  // "site to which copy request sent is now down": abort the database
+  // transaction and announce the failure (control type 2).
+  std::vector<SiteId> silent;
+  for (const auto& [source, items] : c.copies_pending) {
+    silent.push_back(source);
   }
+  if (!batch) {
+    ++counters_.txns_aborted_copier;
+    ReplyAndClear(c, TxnOutcome::kAbortedCopierFailed);
+  } else {
+    batch_.reset();
+  }
+  RunControlType2(silent);
 }
 
 void Site::ReplyAndClear(Coordination& c, TxnOutcome outcome) {
@@ -1173,49 +968,49 @@ void Site::OnExecutorIdle() {
 
 void Site::HandlePrepare(const Message& msg) {
   const auto& args = msg.As<PrepareArgs>();
-  auto existing = participations_.find(args.txn);
-  if (existing != participations_.end()) {
-    // Duplicate prepare (retransmission): re-ack, keep the staging. With
-    // the locking extension, an ack before the queued locks are granted
-    // would let the coordinator commit writes this site has not locked —
-    // stay silent and let SendPrepareAck run when the locks arrive.
+  const SiteId coordinator = msg.from;
+  const auto key = std::make_pair(coordinator, args.round);
+  if (round_participations_.count(key) > 0) {
+    // Retransmission while this very round still waits on queued locks:
+    // stay silent, the ack goes out when the last wait resolves (acking
+    // now would let the coordinator commit writes not yet locked here).
     ++counters_.duplicate_msgs_ignored;
-    if (existing->second.lock_waits_pending == 0) {
-      Charge(options_.costs.ack_format);
-      SendTo(msg.from, PrepareAckArgs{args.txn, /*accepted=*/true, {}});
-    }
     return;
   }
-  const std::optional<bool> finished = RecentOutcome(args.txn);
-  if (finished.has_value()) {
-    // Duplicate prepare arriving after this participation was torn down.
-    // If the transaction committed here, the staging is long applied:
-    // re-ack so a still-retrying coordinator is not stuck. If it aborted
-    // (or was discarded in doubt), re-staging a finished transaction's
-    // writes would resurrect it — drop.
-    ++counters_.duplicate_msgs_ignored;
-    if (*finished) {
-      Charge(options_.costs.ack_format);
-      SendTo(msg.from, PrepareAckArgs{args.txn, /*accepted=*/true, {}});
-    }
+  // A retransmission whose every member already aborted here: re-staging
+  // a finished transaction's writes would resurrect it, and its outcome is
+  // already settled with the coordinator — drop.
+  const auto aborted_here = [this](const RoundMember& m) {
+    const std::optional<bool> finished = RecentOutcome(m.txn);
+    return finished.has_value() && !*finished;
+  };
+  if (std::all_of(args.members.begin(), args.members.end(), aborted_here)) {
+    counters_.duplicate_msgs_ignored += args.members.size();
     return;
   }
-  ++counters_.prepares_handled;
+  ++counters_.batch_prepares_handled;
 
-  // Commit-time session-vector validation: if this participant knows a
-  // strictly newer session for any site than the coordinator's piggybacked
-  // vector, the coordinator chose its participant set under stale
-  // membership (it may have missed a recovery announce and excluded the
-  // recovering site). Committing would maintain fail-locks under divergent
-  // knowledge, so refuse; the coordinator merges the returned vector and
-  // the client retries against a caught-up coordinator.
-  if (args.session_vector.size() == options_.n_sites) {
+  // Commit-time session-vector validation, once per round: if this
+  // participant knows a strictly newer session for any site than the
+  // coordinator's piggybacked vector, the coordinator chose the participant
+  // set under stale membership (it may have missed a recovery announce and
+  // excluded the recovering site). Committing would maintain fail-locks
+  // under divergent knowledge, so refuse the whole round; the coordinator
+  // merges the returned vector and the client retries against a caught-up
+  // coordinator. A pure retransmission (every member already staged or
+  // committed here) passed this check the first time and is re-acked.
+  const bool fresh = std::any_of(
+      args.members.begin(), args.members.end(), [this](const RoundMember& m) {
+        return participations_.count(m.txn) == 0 &&
+               !RecentOutcome(m.txn).has_value();
+      });
+  if (fresh && args.session_vector.size() == options_.n_sites) {
     for (SiteId k = 0; k < options_.n_sites; ++k) {
       if (session_vector_.session(k) > args.session_vector[k].session) {
         ++counters_.prepare_session_vetoes;
         Charge(options_.costs.ack_format);
-        SendTo(msg.from, PrepareAckArgs{args.txn, /*accepted=*/false,
-                                        session_vector_.ToWire()});
+        SendTo(coordinator, PrepareAckArgs{args.round, /*accepted=*/false,
+                                           session_vector_.ToWire(), {}});
         return;
       }
     }
@@ -1229,62 +1024,128 @@ void Site::HandlePrepare(const Message& msg) {
     }
   }
 
-  Participation& part = participations_[args.txn];
-  part.txn = args.txn;
-  part.coordinator = msg.from;
-  part.participants = args.participants;
-  part.start_time = runtime_->Now();
-  for (const ItemWrite& write : args.writes) {
-    if (!db_.Holds(write.item)) continue;
-    Charge(options_.costs.participant_stage_per_item);
-    part.staged.push_back(write);
-  }
-  Trace(TraceEvent::kPrepareHandled, args.txn, part.staged.size());
-  // The participant's patience exceeds the coordinator's ack timeout so
-  // that a slow-but-alive coordinator resolves the transaction first.
-  const TxnId txn = args.txn;
-  part.timer = runtime_->ScheduleAfter(
-      3 * options_.ack_timeout, [this, txn] { ParticipationTimeout(txn); });
+  // The bookkeeping goes into the map before any lock traffic: a lock
+  // released by one member's wait-die refusal can synchronously grant an
+  // earlier member's queued request, which routes back into this record.
+  RoundParticipation& rp = round_participations_[key];
+  rp.coordinator = coordinator;
+  rp.round = args.round;
+  rp.collecting = true;
 
-  if (options_.concurrency.locking()) {
-    for (const ItemWrite& write : part.staged) {
-      const LockManager::Outcome outcome = lock_manager_.Acquire(
-          write.item, txn, LockManager::Mode::kExclusive,
-          [this, txn] { OnParticipantLockGranted(txn); });
-      if (outcome == LockManager::Outcome::kRejected) {
-        // Wait-die: refuse the prepare; the coordinator aborts the txn.
-        ++counters_.lock_rejections;
-        lock_manager_.ReleaseAll(txn);
-        runtime_->CancelTimer(part.timer);
-        participations_.erase(txn);
-        Charge(options_.costs.ack_format);
-        SendTo(msg.from, PrepareAckArgs{txn, /*accepted=*/false, {}});
-        ProcessWounds();
-        return;
-      }
-      if (outcome == LockManager::Outcome::kQueued) {
-        ++counters_.lock_waits;
-        ++part.lock_waits_pending;
+  for (const RoundMember& member : args.members) {
+    const TxnId txn = member.txn;
+    auto existing = participations_.find(txn);
+    if (existing != participations_.end()) {
+      // Already staged by an earlier frame of this round whose ack was
+      // lost: account for it without re-staging.
+      ++counters_.duplicate_msgs_ignored;
+      rp.members.push_back(txn);
+      if (existing->second.lock_waits_pending > 0) rp.waiting.insert(txn);
+      continue;
+    }
+    const std::optional<bool> finished = RecentOutcome(txn);
+    if (finished.has_value()) {
+      // Torn down already: a committed member is long applied (count it
+      // accepted so the coordinator converges); an aborted one must not be
+      // resurrected — report it refused, which the coordinator's abort of
+      // that member makes idempotent.
+      ++counters_.duplicate_msgs_ignored;
+      (*finished ? rp.members : rp.refused).push_back(txn);
+      continue;
+    }
+    ++counters_.prepares_handled;
+    Participation& part = participations_[txn];
+    part.txn = txn;
+    part.coordinator = coordinator;
+    part.participants = args.participants;
+    part.start_time = runtime_->Now();
+    part.round = args.round;
+    for (const ItemWrite& write : member.writes) {
+      if (!db_.Holds(write.item)) continue;
+      Charge(options_.costs.participant_stage_per_item);
+      part.staged.push_back(write);
+    }
+    Trace(TraceEvent::kPrepareHandled, txn, part.staged.size());
+    // The participant's patience exceeds the coordinator's ack timeout so
+    // that a slow-but-alive coordinator resolves the transaction first.
+    part.timer = runtime_->ScheduleAfter(
+        3 * options_.ack_timeout, [this, txn] { ParticipationTimeout(txn); });
+
+    bool refused_now = false;
+    if (options_.concurrency.locking()) {
+      for (const ItemWrite& write : part.staged) {
+        const LockManager::Outcome outcome = lock_manager_.Acquire(
+            write.item, txn, LockManager::Mode::kExclusive,
+            [this, txn] { OnParticipantLockGranted(txn); });
+        if (outcome == LockManager::Outcome::kRejected) {
+          // Wait-die refusal of this member only; its round-mates proceed.
+          ++counters_.lock_rejections;
+          lock_manager_.ReleaseAll(txn);
+          runtime_->CancelTimer(part.timer);
+          participations_.erase(txn);
+          rp.refused.push_back(txn);
+          refused_now = true;
+          break;
+        }
+        if (outcome == LockManager::Outcome::kQueued) {
+          ++counters_.lock_waits;
+          ++part.lock_waits_pending;
+        }
       }
     }
+    if (refused_now) continue;
+    rp.members.push_back(txn);
     if (part.lock_waits_pending > 0) {
+      rp.waiting.insert(txn);
       if (options_.concurrency.deadlock_policy == DeadlockPolicy::kTimeout) {
         part.lock_timer = runtime_->ScheduleAfter(
             options_.concurrency.lock_wait_timeout,
             [this, txn] { ParticipantLockTimeout(txn); });
       }
-      ProcessWounds();
-      return;  // ack once locks arrive
     }
-    ProcessWounds();
-    // The wounds may have torn this participation down (a wound victim can
-    // be a not-yet-acked participation at this very site). Re-look it up.
-    auto self = participations_.find(txn);
-    if (self == participations_.end()) return;
-    SendPrepareAck(self->second);
-    return;
   }
-  SendPrepareAck(part);
+  rp.collecting = false;
+  // Wound-wait victims recorded by the acquisitions above: members of this
+  // very round route into rp.refused via ResolveRoundMember, which may
+  // send the ack itself once nothing is waiting. Re-look the record up.
+  ProcessWounds();
+  auto self = round_participations_.find(key);
+  if (self == round_participations_.end()) return;  // acked during wounds
+  if (self->second.waiting.empty()) {
+    SendPrepareAck(self->second);
+    round_participations_.erase(self);
+  }
+}
+
+void Site::ResolveRoundMember(SiteId coordinator, uint64_t round, TxnId txn,
+                              bool accepted) {
+  auto it = round_participations_.find(std::make_pair(coordinator, round));
+  if (it == round_participations_.end()) return;
+  RoundParticipation& rp = it->second;
+  rp.waiting.erase(txn);
+  if (!accepted) {
+    rp.members.erase(std::remove(rp.members.begin(), rp.members.end(), txn),
+                     rp.members.end());
+    rp.refused.push_back(txn);
+  }
+  if (!rp.collecting && rp.waiting.empty()) {
+    SendPrepareAck(rp);
+    round_participations_.erase(it);
+  }
+}
+
+void Site::SendPrepareAck(RoundParticipation& rp) {
+  if (options_.concurrency.locking()) {
+    // Past the point of no return for every accepted member: this site
+    // has promised to commit, so a wound-wait elder must wait for (not
+    // wound) their locks.
+    for (TxnId member : rp.members) {
+      if (participations_.count(member) > 0) lock_manager_.Pin(member);
+    }
+  }
+  Charge(options_.costs.ack_format);
+  SendTo(rp.coordinator,
+         PrepareAckArgs{rp.round, /*accepted=*/true, {}, rp.refused});
 }
 
 void Site::OnParticipantLockGranted(TxnId txn) {
@@ -1296,13 +1157,7 @@ void Site::OnParticipantLockGranted(TxnId txn) {
       runtime_->CancelTimer(part.lock_timer);
       part.lock_timer = kInvalidTimer;
     }
-    if (part.batch != 0) {
-      // A batched member acks through its batch, once nothing is waiting.
-      ResolveBatchMember(part.coordinator, part.batch, txn,
-                         /*accepted=*/true);
-      return;
-    }
-    SendPrepareAck(part);
+    ResolveRoundMember(part.coordinator, part.round, txn, /*accepted=*/true);
   }
 }
 
@@ -1312,91 +1167,111 @@ void Site::ParticipantLockTimeout(TxnId txn) {
   Participation& part = it->second;
   part.lock_timer = kInvalidTimer;
   if (part.lock_waits_pending == 0) return;  // raced with the last grant
-  // Refuse the prepare: the coordinator aborts the transaction, which is
+  // Refuse the member: the coordinator aborts the transaction, which is
   // how a participant-side lock wait surfaces as kAbortedLockTimeout there.
   ++counters_.txns_aborted_lock_timeout;
   const SiteId coordinator = part.coordinator;
-  const uint64_t batch = part.batch;
+  const uint64_t round = part.round;
   runtime_->CancelTimer(part.timer);
   lock_manager_.ReleaseAll(txn);  // also cancels the queued waits
   RecordOutcome(txn, /*committed=*/false);
   participations_.erase(it);
-  if (batch != 0) {
-    // The refusal rides the batch ack, member-level; batch-mates proceed.
-    ResolveBatchMember(coordinator, batch, txn, /*accepted=*/false);
-    return;
-  }
-  Charge(options_.costs.ack_format);
-  SendTo(coordinator, PrepareAckArgs{txn, /*accepted=*/false, {}});
-}
-
-void Site::SendPrepareAck(Participation& part) {
-  // Past the point of no return: this site has promised to commit, so a
-  // wound-wait elder must wait for (not wound) this transaction's locks.
-  if (options_.concurrency.locking()) lock_manager_.Pin(part.txn);
-  Charge(options_.costs.ack_format);
-  SendTo(part.coordinator, PrepareAckArgs{part.txn, /*accepted=*/true, {}});
+  // The refusal rides the round's ack, member-level; round-mates proceed.
+  ResolveRoundMember(coordinator, round, txn, /*accepted=*/false);
 }
 
 void Site::HandleCommit(const Message& msg) {
-  const TxnId txn = msg.As<CommitArgs>().txn;
-  auto it = participations_.find(txn);
-  if (it == participations_.end()) {
-    // Duplicated (or retried) CommitDecision after this participation was
-    // torn down. If the commit already happened here, the coordinator is
-    // still waiting for an ack that was lost — re-ack, or its
-    // retransmissions never converge. Anything else (aborted, discarded in
-    // doubt, or too old to remember) must stay a no-op: the staging is
-    // gone, so there is nothing correct to apply.
-    const std::optional<bool> finished = RecentOutcome(txn);
-    if (finished.has_value()) {
-      ++counters_.duplicate_msgs_ignored;
-      if (*finished) {
-        Charge(options_.costs.ack_format);
-        SendTo(msg.from, CommitAckArgs{txn});
-      }
-    }
-    return;
+  const auto& args = msg.As<CommitArgs>();
+  // A round frame decides its whole round, so the round's ack bookkeeping
+  // goes (an abort can arrive while this site never acked: another
+  // participant vetoed or the coordinator timed out first). A decision
+  // answer (round 0) names single members and resolves only those.
+  const bool answer = args.round == 0;
+  if (!answer) {
+    round_participations_.erase(std::make_pair(msg.from, args.round));
   }
-  Participation& part = it->second;
-  runtime_->CancelTimer(part.timer);
-  if (part.lock_timer != kInvalidTimer) runtime_->CancelTimer(part.lock_timer);
-  CommitLocalWrites(part.txn, part.staged, part.participants);
-  if (options_.concurrency.locking()) lock_manager_.ReleaseAll(part.txn);
-  Trace(TraceEvent::kParticipantCommitted, part.txn, part.staged.size());
-  RecordOutcome(part.txn, /*committed=*/true);
-  Charge(options_.costs.ack_format);
-  SendTo(part.coordinator, CommitAckArgs{part.txn});
-  ++counters_.commits_handled;
-  counters_.participant_time.Add(runtime_->Now() - part.start_time);
-  participations_.erase(it);
-  MaybeStartBatchCopier();
-}
 
-void Site::HandleAbort(const Message& msg) {
-  const TxnId txn = msg.As<AbortArgs>().txn;
-  auto it = participations_.find(txn);
-  if (it == participations_.end()) {
-    // Duplicated Abort after teardown: the discard already happened (or
-    // there was never anything staged); nothing to undo twice.
-    if (RecentOutcome(txn).has_value()) ++counters_.duplicate_msgs_ignored;
-    return;
+  for (TxnId txn : args.aborts) {
+    auto it = participations_.find(txn);
+    if (it == participations_.end()) {
+      // Duplicated abort after teardown: the discard already happened (or
+      // there was never anything staged); nothing to undo twice.
+      if (RecentOutcome(txn).has_value()) ++counters_.duplicate_msgs_ignored;
+      continue;
+    }
+    Participation& part = it->second;
+    runtime_->CancelTimer(part.timer);
+    if (part.lock_timer != kInvalidTimer) {
+      runtime_->CancelTimer(part.lock_timer);
+    }
+    ++counters_.aborts_handled;
+    const SiteId coordinator = part.coordinator;
+    const uint64_t round = part.round;
+    if (options_.concurrency.locking()) lock_manager_.ReleaseAll(txn);
+    RecordOutcome(txn, /*committed=*/false);
+    participations_.erase(it);  // "discard the copy updates"
+    if (answer) ResolveRoundMember(coordinator, round, txn, /*accepted=*/false);
   }
-  runtime_->CancelTimer(it->second.timer);
-  if (it->second.lock_timer != kInvalidTimer) {
-    runtime_->CancelTimer(it->second.lock_timer);
+  if (args.commits.empty()) return;  // abort-only frame, fire-and-forget
+
+  // Install every committed member, then maintain fail-locks once over the
+  // deduplicated union. The frame is acked only when every commit member
+  // is applied here or known-committed from a duplicate: a duplicated (or
+  // retried) commit after teardown re-acks, or the coordinator's
+  // retransmissions never converge. An unknown member means this site
+  // discarded in doubt (or lost state) — nothing correct to apply — and
+  // silence lets the coordinator's commit timeout remove it from the
+  // participant set so the maintenance fail-locks its copies.
+  std::vector<TxnId> applied;
+  std::vector<ItemWrite> union_writes;
+  std::vector<SiteId> participants;
+  bool all_applied = true;
+  for (TxnId txn : args.commits) {
+    auto it = participations_.find(txn);
+    if (it == participations_.end()) {
+      const std::optional<bool> finished = RecentOutcome(txn);
+      if (finished.has_value()) ++counters_.duplicate_msgs_ignored;
+      if (!finished.value_or(false)) all_applied = false;
+      continue;
+    }
+    Participation& part = it->second;
+    runtime_->CancelTimer(part.timer);
+    if (part.lock_timer != kInvalidTimer) {
+      runtime_->CancelTimer(part.lock_timer);
+    }
+    if (participants.empty()) participants = part.participants;
+    CommitLocalWrites(txn, part.staged, part.participants,
+                      /*maintain_now=*/false);
+    for (const ItemWrite& write : part.staged) {
+      const bool seen = std::any_of(
+          union_writes.begin(), union_writes.end(),
+          [&write](const ItemWrite& u) { return u.item == write.item; });
+      if (!seen) union_writes.push_back(write);
+    }
+    applied.push_back(txn);
   }
-  ++counters_.aborts_handled;
-  const SiteId coordinator = it->second.coordinator;
-  const uint64_t batch = it->second.batch;
-  if (options_.concurrency.locking()) lock_manager_.ReleaseAll(it->first);
-  RecordOutcome(txn, /*committed=*/false);
-  participations_.erase(it);  // "discard the copy updates"
-  if (batch != 0) {
-    // A singleton abort (decision-query answer) can land before the batch
-    // ack went out; the still-open batch must stop waiting on this member.
-    ResolveBatchMember(coordinator, batch, txn, /*accepted=*/false);
+  if (options_.maintain_fail_locks && !union_writes.empty()) {
+    MaintainFailLocks(union_writes, participants);
   }
+  for (TxnId txn : applied) {
+    if (options_.concurrency.locking()) lock_manager_.ReleaseAll(txn);
+    Trace(TraceEvent::kParticipantCommitted, txn,
+          participations_.at(txn).staged.size());
+    RecordOutcome(txn, /*committed=*/true);
+  }
+  if (all_applied) {
+    Charge(options_.costs.ack_format);
+    SendTo(msg.from, CommitAckArgs{args.round});
+  }
+  if (applied.empty()) return;
+  for (TxnId txn : applied) {
+    auto it = participations_.find(txn);
+    if (it == participations_.end()) continue;
+    ++counters_.commits_handled;
+    counters_.participant_time.Add(runtime_->Now() - it->second.start_time);
+    participations_.erase(it);
+  }
+  MaybeStartBatchCopier();
 }
 
 void Site::ParticipationTimeout(TxnId txn) {
@@ -1405,10 +1280,10 @@ void Site::ParticipationTimeout(TxnId txn) {
   Participation& part = it->second;
   part.timer = kInvalidTimer;
   // Lossy-network retries: before declaring the coordinator dead, ask it
-  // for the decision — the Prepare may have been answered but the
-  // CommitDecision (or Abort) lost. A live coordinator re-sends the
-  // decision from its in-flight state or outcome cache; a coordinator
-  // with no trace of the transaction answers Abort (presumed abort).
+  // for the decision — the prepare may have been answered but the commit
+  // frame lost. A live coordinator re-sends the decision from its
+  // in-flight state or outcome cache; a coordinator with no trace of the
+  // transaction answers abort (presumed abort).
   if (part.queries_sent < options_.retry_limit) {
     ++part.queries_sent;
     ++counters_.decision_queries_sent;
@@ -1426,7 +1301,7 @@ void Site::ParticipationTimeout(TxnId txn) {
   if (part.lock_timer != kInvalidTimer) runtime_->CancelTimer(part.lock_timer);
   if (options_.concurrency.locking()) lock_manager_.ReleaseAll(it->first);
   // The in-doubt discard is a local abort; remember it so a late-arriving
-  // CommitDecision duplicate cannot be mistaken for an applicable commit.
+  // commit duplicate cannot be mistaken for an applicable commit.
   RecordOutcome(txn, /*committed=*/false);
   participations_.erase(it);
   RunControlType2({coordinator});
@@ -1437,283 +1312,41 @@ void Site::HandleDecisionQuery(const Message& msg) {
   auto deciding = coords_.find(txn);
   if (deciding != coords_.end()) {
     // Still deciding. In the commit phase the decision exists and the
-    // querier's CommitDecision was evidently lost: re-send it. Before the
-    // commit phase there is no decision yet — stay silent and let the
-    // querier's next timeout re-ask.
-    if (deciding->second.phase == Coordination::Phase::kCommit) {
+    // querier's commit frame was evidently lost: re-send the round's frame
+    // (a retransmission to this one participant, so its ack counts toward
+    // the round). Before the commit phase there is no decision yet — stay
+    // silent and let the querier's next timeout re-ask.
+    auto round = rounds_.find(deciding->second.round);
+    if (deciding->second.phase == Coordination::Phase::kCommit &&
+        round != rounds_.end()) {
+      const Round& r = round->second;
       ++counters_.decision_queries_answered;
       Charge(options_.costs.ack_format);
-      SendTo(msg.from, CommitArgs{txn});
+      SendTo(msg.from, CommitArgs{r.id, r.commits, r.aborts});
     }
     return;
   }
+  // Otherwise the answer is a round-0 frame naming this one member: from
+  // the recent-outcome cache, or — when the transaction left no trace — by
+  // presumed abort. Presumed abort is safe because a coordinator that
+  // commits always keeps the outcome in its cache for far longer than a
+  // participant keeps querying, and a coordinator that stopped waiting for
+  // this participant (commit-phase timeout) removed it from the
+  // participant set — the participant's copies were fail-locked by
+  // everyone's commit-time maintenance, so a discard here is repaired by
+  // the copier machinery, not silently divergent.
   const std::optional<bool> finished = RecentOutcome(txn);
   if (finished.has_value()) {
     ++counters_.decision_queries_answered;
-    Charge(options_.costs.ack_format);
-    if (*finished) {
-      SendTo(msg.from, CommitArgs{txn});
-    } else {
-      SendTo(msg.from, AbortArgs{txn});
-    }
-    return;
-  }
-  // No trace of the transaction: presumed abort. Safe because a
-  // coordinator that commits always keeps the outcome in its cache for
-  // far longer than a participant keeps querying, and a coordinator that
-  // stopped waiting for this participant (commit-phase timeout) removed it
-  // from the participant set — the participant's copies were fail-locked
-  // by everyone's commit-time maintenance, so a discard here is repaired
-  // by the copier machinery, not silently divergent.
-  ++counters_.decisions_presumed_abort;
-  Charge(options_.costs.ack_format);
-  SendTo(msg.from, AbortArgs{txn});
-}
-
-// ---------------------------------------------------------------------------
-// Group commit, participant side.
-// ---------------------------------------------------------------------------
-
-void Site::HandleBatchPrepare(const Message& msg) {
-  const auto& args = msg.As<BatchPrepareArgs>();
-  const SiteId coordinator = msg.from;
-  const auto key = std::make_pair(coordinator, args.batch);
-  if (batch_participations_.count(key) > 0) {
-    // Retransmission while this very batch still waits on queued locks:
-    // stay silent, the ack goes out when the last wait resolves (acking
-    // now would let the coordinator commit writes not yet locked here).
-    ++counters_.duplicate_msgs_ignored;
-    return;
-  }
-  ++counters_.batch_prepares_handled;
-
-  // Session-vector validation runs once per batch: every member was
-  // chosen under the same coordinator vector, so one veto covers all of
-  // them (and the coordinator aborts them all, none individually).
-  if (args.session_vector.size() == options_.n_sites) {
-    for (SiteId k = 0; k < options_.n_sites; ++k) {
-      if (session_vector_.session(k) > args.session_vector[k].session) {
-        ++counters_.prepare_session_vetoes;
-        Charge(options_.costs.ack_format);
-        SendTo(coordinator,
-               BatchPrepareAckArgs{args.batch, /*accepted=*/false,
-                                   session_vector_.ToWire(), {}});
-        return;
-      }
-    }
-    const Status merged = session_vector_.MergeFrom(args.session_vector);
-    if (!merged.ok()) {
-      MR_LOG(kWarn) << "site " << id_
-                    << ": bad session vector in batch prepare: "
-                    << merged.ToString();
-    }
-  }
-
-  // The bookkeeping goes into the map before any lock traffic: a lock
-  // released by one member's wait-die refusal can synchronously grant an
-  // earlier member's queued request, which routes back into this record.
-  BatchParticipation& bp = batch_participations_[key];
-  bp.coordinator = coordinator;
-  bp.batch = args.batch;
-  bp.collecting = true;
-
-  for (const BatchMember& member : args.members) {
-    const TxnId txn = member.txn;
-    auto existing = participations_.find(txn);
-    if (existing != participations_.end()) {
-      // Already staged by an earlier frame for this batch (retransmission
-      // after a crash-free ack loss): account for it without re-staging.
-      ++counters_.duplicate_msgs_ignored;
-      bp.members.push_back(txn);
-      if (existing->second.lock_waits_pending > 0) {
-        existing->second.batch = args.batch;
-        bp.waiting.insert(txn);
-      }
-      continue;
-    }
-    const std::optional<bool> finished = RecentOutcome(txn);
-    if (finished.has_value()) {
-      // Torn down already: a committed member is long applied (count it
-      // accepted so the coordinator converges); an aborted one must not be
-      // resurrected — report it refused, which the coordinator's abort of
-      // that member makes idempotent.
-      ++counters_.duplicate_msgs_ignored;
-      if (*finished) {
-        bp.members.push_back(txn);
-      } else {
-        bp.refused.push_back(txn);
-      }
-      continue;
-    }
-    ++counters_.prepares_handled;
-    Participation& part = participations_[txn];
-    part.txn = txn;
-    part.coordinator = coordinator;
-    part.participants = args.participants;
-    part.start_time = runtime_->Now();
-    part.batch = args.batch;
-    for (const ItemWrite& write : member.writes) {
-      if (!db_.Holds(write.item)) continue;
-      Charge(options_.costs.participant_stage_per_item);
-      part.staged.push_back(write);
-    }
-    Trace(TraceEvent::kPrepareHandled, txn, part.staged.size());
-    part.timer = runtime_->ScheduleAfter(
-        3 * options_.ack_timeout, [this, txn] { ParticipationTimeout(txn); });
-
-    bool refused_now = false;
-    if (options_.concurrency.locking()) {
-      for (const ItemWrite& write : part.staged) {
-        const LockManager::Outcome outcome = lock_manager_.Acquire(
-            write.item, txn, LockManager::Mode::kExclusive,
-            [this, txn] { OnParticipantLockGranted(txn); });
-        if (outcome == LockManager::Outcome::kRejected) {
-          // Wait-die refusal of this member only; its batch-mates proceed.
-          ++counters_.lock_rejections;
-          lock_manager_.ReleaseAll(txn);
-          runtime_->CancelTimer(part.timer);
-          participations_.erase(txn);
-          bp.refused.push_back(txn);
-          refused_now = true;
-          break;
-        }
-        if (outcome == LockManager::Outcome::kQueued) {
-          ++counters_.lock_waits;
-          ++part.lock_waits_pending;
-        }
-      }
-    }
-    if (refused_now) continue;
-    bp.members.push_back(txn);
-    if (part.lock_waits_pending > 0) {
-      bp.waiting.insert(txn);
-      if (options_.concurrency.deadlock_policy == DeadlockPolicy::kTimeout) {
-        part.lock_timer = runtime_->ScheduleAfter(
-            options_.concurrency.lock_wait_timeout,
-            [this, txn] { ParticipantLockTimeout(txn); });
-      }
-    }
-  }
-  bp.collecting = false;
-  // Wound-wait victims recorded by the acquisitions above: members of this
-  // very batch route into bp.refused via ResolveBatchMember, which may
-  // send the ack itself once nothing is waiting. Re-look the record up.
-  ProcessWounds();
-  auto self = batch_participations_.find(key);
-  if (self == batch_participations_.end()) return;  // acked during wounds
-  if (self->second.waiting.empty()) {
-    SendBatchPrepareAck(self->second);
-    batch_participations_.erase(self);
-  }
-}
-
-void Site::ResolveBatchMember(SiteId coordinator, uint64_t batch, TxnId txn,
-                              bool accepted) {
-  auto it = batch_participations_.find(std::make_pair(coordinator, batch));
-  if (it == batch_participations_.end()) return;
-  BatchParticipation& bp = it->second;
-  bp.waiting.erase(txn);
-  if (!accepted) {
-    bp.members.erase(std::remove(bp.members.begin(), bp.members.end(), txn),
-                     bp.members.end());
-    bp.refused.push_back(txn);
-  }
-  if (!bp.collecting && bp.waiting.empty()) {
-    SendBatchPrepareAck(bp);
-    batch_participations_.erase(it);
-  }
-}
-
-void Site::SendBatchPrepareAck(BatchParticipation& bp) {
-  if (options_.concurrency.locking()) {
-    // Past the point of no return for every accepted member, like the
-    // singleton SendPrepareAck.
-    for (TxnId member : bp.members) {
-      if (participations_.count(member) > 0) lock_manager_.Pin(member);
-    }
+  } else {
+    ++counters_.decisions_presumed_abort;
   }
   Charge(options_.costs.ack_format);
-  SendTo(bp.coordinator,
-         BatchPrepareAckArgs{bp.batch, /*accepted=*/true, {}, bp.refused});
-}
-
-void Site::HandleBatchCommit(const Message& msg) {
-  const auto& args = msg.As<BatchCommitArgs>();
-  const SiteId coordinator = msg.from;
-  // A whole-batch abort can arrive while this site never acked (another
-  // participant vetoed or the coordinator timed out first): drop the ack
-  // bookkeeping outright, the per-member teardown below releases whatever
-  // was staged or queued.
-  batch_participations_.erase(std::make_pair(coordinator, args.batch));
-
-  for (TxnId txn : args.aborts) {
-    auto it = participations_.find(txn);
-    if (it == participations_.end()) {
-      if (RecentOutcome(txn).has_value()) ++counters_.duplicate_msgs_ignored;
-      continue;
-    }
-    runtime_->CancelTimer(it->second.timer);
-    if (it->second.lock_timer != kInvalidTimer) {
-      runtime_->CancelTimer(it->second.lock_timer);
-    }
-    ++counters_.aborts_handled;
-    if (options_.concurrency.locking()) lock_manager_.ReleaseAll(txn);
-    RecordOutcome(txn, /*committed=*/false);
-    participations_.erase(it);  // "discard the copy updates"
+  if (finished.value_or(false)) {
+    SendTo(msg.from, CommitArgs{0, {txn}, {}});
+  } else {
+    SendTo(msg.from, CommitArgs{0, {}, {txn}});
   }
-
-  if (args.commits.empty()) return;  // abort-only frame, fire-and-forget
-
-  // Install every committed member, then maintain fail-locks once over the
-  // deduplicated union — the coalescing that motivates the batch frames.
-  // The batch is acked only when every commit member is applied here or
-  // known-committed from a duplicate; an unknown member means this site
-  // discarded in doubt (or lost state), and silence lets the coordinator's
-  // commit timeout remove it from the participant set so the maintenance
-  // fail-locks its copies.
-  std::vector<ItemWrite> union_writes;
-  std::vector<SiteId> participants;
-  bool all_applied = true;
-  for (TxnId txn : args.commits) {
-    auto it = participations_.find(txn);
-    if (it == participations_.end()) {
-      const std::optional<bool> finished = RecentOutcome(txn);
-      if (finished.has_value() && *finished) {
-        ++counters_.duplicate_msgs_ignored;  // already applied
-      } else {
-        all_applied = false;
-      }
-      continue;
-    }
-    Participation& part = it->second;
-    runtime_->CancelTimer(part.timer);
-    if (part.lock_timer != kInvalidTimer) {
-      runtime_->CancelTimer(part.lock_timer);
-    }
-    if (participants.empty()) participants = part.participants;
-    CommitLocalWrites(part.txn, part.staged, part.participants,
-                      /*maintain_now=*/false);
-    for (const ItemWrite& write : part.staged) {
-      const bool seen = std::any_of(
-          union_writes.begin(), union_writes.end(),
-          [&write](const ItemWrite& u) { return u.item == write.item; });
-      if (!seen) union_writes.push_back(write);
-    }
-    if (options_.concurrency.locking()) lock_manager_.ReleaseAll(part.txn);
-    Trace(TraceEvent::kParticipantCommitted, part.txn, part.staged.size());
-    RecordOutcome(part.txn, /*committed=*/true);
-    ++counters_.commits_handled;
-    counters_.participant_time.Add(runtime_->Now() - part.start_time);
-    participations_.erase(it);
-  }
-  if (options_.maintain_fail_locks && !union_writes.empty()) {
-    MaintainFailLocks(union_writes, participants);
-  }
-  if (all_applied) {
-    Charge(options_.costs.ack_format);
-    SendTo(coordinator, BatchCommitAckArgs{args.batch});
-  }
-  MaybeStartBatchCopier();
 }
 
 // ---------------------------------------------------------------------------
@@ -2255,12 +1888,17 @@ void Site::AbortWoundedTxn(TxnId victim) {
     Coordination& c = cit->second;
     ++counters_.lock_wounds;
     ++counters_.txns_aborted_deadlock;
-    if (c.phase == Coordination::Phase::kPrepare) {
-      // Participants may have staged (and locked) the writes: abort them.
-      for (SiteId p : c.participants) {
-        Charge(options_.costs.ack_format);
-        SendTo(p, AbortArgs{c.txn.id});
-      }
+    auto round = rounds_.find(c.round);
+    if (c.phase == Coordination::Phase::kPrepare && round != rounds_.end()) {
+      // Participants may have staged (and locked) the writes: abort the
+      // round everywhere. Only a round of one is unpinned in its prepare
+      // phase (batched members are pinned on entry), so the victim is the
+      // whole round.
+      runtime_->CancelTimer(round->second.timer);
+      Round dead = std::move(round->second);
+      rounds_.erase(round);
+      AbortRound(dead, TxnOutcome::kAbortedDeadlock, dead.participants);
+      return;
     }
     // kCommit-phase coordinations are pinned and never wounded; kCopier /
     // lock-wait coordinations have nothing remote to undo.
@@ -2269,12 +1907,12 @@ void Site::AbortWoundedTxn(TxnId victim) {
   }
   auto pit = participations_.find(victim);
   if (pit != participations_.end()) {
-    // A not-yet-acked participation (acked ones are pinned): refuse the
-    // prepare so the coordinator aborts the transaction everywhere.
+    // A not-yet-acked participation (acked ones are pinned): refuse it in
+    // its round's ack so the coordinator aborts the transaction everywhere.
     Participation& part = pit->second;
     ++counters_.lock_wounds;
     const SiteId coordinator = part.coordinator;
-    const uint64_t batch = part.batch;
+    const uint64_t round = part.round;
     runtime_->CancelTimer(part.timer);
     if (part.lock_timer != kInvalidTimer) {
       runtime_->CancelTimer(part.lock_timer);
@@ -2282,13 +1920,7 @@ void Site::AbortWoundedTxn(TxnId victim) {
     lock_manager_.ReleaseAll(victim);
     RecordOutcome(victim, /*committed=*/false);
     participations_.erase(pit);
-    if (batch != 0) {
-      // A wounded batched member refuses through its batch's ack.
-      ResolveBatchMember(coordinator, batch, victim, /*accepted=*/false);
-      return;
-    }
-    Charge(options_.costs.ack_format);
-    SendTo(coordinator, PrepareAckArgs{victim, /*accepted=*/false, {}});
+    ResolveRoundMember(coordinator, round, victim, /*accepted=*/false);
     return;
   }
   // The victim finished (or was torn down) between wound and drain; its

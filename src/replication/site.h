@@ -99,8 +99,8 @@ class Site : public MessageHandler {
   MR_RUNS_ON(loop) bool IsIdle() const {
     return coords_.empty() && !batch_.has_value() && participations_.empty() &&
            !recovery_.has_value() && queued_requests_.empty() &&
-           forming_batches_.empty() && active_batches_.empty() &&
-           batch_participations_.empty();
+           forming_batches_.empty() && rounds_.empty() &&
+           round_participations_.empty();
   }
 
   /// Transaction requests waiting for an executor slot (requests that
@@ -127,8 +127,8 @@ class Site : public MessageHandler {
 
     enum class Phase {
       kCopier,      // waiting for copy replies
-      kPrepare,     // phase one: waiting for prepare acks
-      kCommit,      // phase two: waiting for commit acks
+      kPrepare,     // phase one: forming or in a round awaiting prepare acks
+      kCommit,      // phase two: its round awaits commit acks
     };
     Phase phase = Phase::kCopier;
 
@@ -142,17 +142,17 @@ class Site : public MessageHandler {
     uint32_t copier_count = 0;
 
     std::vector<SiteId> participants;
-    std::set<SiteId> awaiting;
     std::vector<ItemWrite> writes;
     std::vector<ItemCopy> reads;
 
+    // Copier-phase timer (the commit round keeps its own).
     TimerId timer = kInvalidTimer;
     // True if this is a step-two batch copier refresh rather than a client
     // transaction (txn/client unused, no 2PC follows the copier).
     bool batch_refresh = false;
 
-    // Lossy-network retries: timeouts spent re-sending the current phase's
-    // message instead of declaring failure (SiteOptions::retry_limit), and
+    // Lossy-network retries: copier-phase timeouts spent re-sending copy
+    // requests instead of declaring failure (SiteOptions::retry_limit), and
     // when the current phase started (per-phase latency counters).
     uint32_t retries_used = 0;
     TimePoint phase_start = 0;
@@ -166,28 +166,26 @@ class Site : public MessageHandler {
     // requests are still outstanding when it fires.
     TimerId lock_timer = kInvalidTimer;
 
-    // Group commit: the ActiveBatch this coordination commits through
-    // (0 = plain singleton 2PC). A batched member has no timer of its
-    // own — the batch's timer covers all members.
-    uint64_t group = 0;
+    // The Round this coordination commits through (0 until it opens).
+    uint64_t round = 0;
   };
 
   /// Group commit, coordinator side: members that became prepare-ready
   /// while a batch toward the same participant set was still collecting.
-  /// Members are pinned (never wounded) on entry; the batch flushes when
-  /// it reaches BatchingOptions::max_batch or the linger timer fires.
+  /// Members are pinned (never wounded) on entry; the batch opens its round
+  /// when it reaches BatchingOptions::max_batch or the linger timer fires.
   struct FormingBatch {
-    std::vector<SiteId> participants;       // peers (excluding this site)
-    std::vector<SiteId> wire_participants;  // peers + this site, sorted
+    std::vector<SiteId> participants;  // peers (excluding this site)
     std::vector<TxnId> members;
     TimerId timer = kInvalidTimer;  // linger
   };
 
-  /// Group commit, coordinator side: one batched 2PC round in flight.
-  /// Mirrors the per-phase state of Coordination, but one instance fronts
-  /// every member: one BatchPrepare / BatchCommit frame per participant,
-  /// one ack awaited per participant, one timer, one retry budget.
-  struct ActiveBatch {
+  /// Coordinator side of one commit round in flight: the two-phase commit
+  /// of N >= 1 member coordinations that share a participant set. One
+  /// kPrepare / kCommit frame per participant, one ack awaited per
+  /// participant, one timer, one retry budget. A transaction that commits
+  /// alone is a round of one.
+  struct Round {
     uint64_t id = 0;
     std::vector<SiteId> participants;       // peers (excluding this site)
     std::vector<SiteId> wire_participants;  // peers + this site, sorted
@@ -196,10 +194,10 @@ class Site : public MessageHandler {
     Phase phase = Phase::kPrepare;
     std::set<SiteId> awaiting;
     /// Members some participant refused for lock conflicts (union across
-    /// acks). Refusal of one member never aborts its batch-mates.
+    /// acks). Refusal of one member never aborts its round-mates.
     std::set<TxnId> refused;
-    /// The decided split carried by the BatchCommit frame (also re-sent on
-    /// commit-phase retransmits).
+    /// The decided split carried by the kCommit frame (also re-sent on
+    /// commit-phase retransmits and to decision queries).
     std::vector<TxnId> commits;
     std::vector<TxnId> aborts;
     TimerId timer = kInvalidTimer;
@@ -207,28 +205,22 @@ class Site : public MessageHandler {
     TimePoint phase_start = 0;
   };
 
-  /// Group commit, participant side: bookkeeping for one BatchPrepare
-  /// whose members still have queued lock requests. Lives only until the
-  /// single BatchPrepareAck goes out; each member's own Participation
-  /// carries the per-transaction state (staging, patience timer, decision
-  /// queries) exactly as in singleton 2PC.
-  struct BatchParticipation {
+  /// Participant side: bookkeeping for one kPrepare until its single
+  /// kPrepareAck goes out (at once, or when the members' queued lock
+  /// requests resolve). Each member's own Participation carries the
+  /// per-transaction state (staging, patience timer, decision queries).
+  struct RoundParticipation {
     SiteId coordinator = kInvalidSite;
-    uint64_t batch = 0;
+    uint64_t round = 0;
     std::vector<TxnId> members;   // accepted (locks held or pending)
     std::vector<TxnId> refused;   // lock-conflict refusals, member-level
     std::set<TxnId> waiting;      // members with queued lock requests
-    /// True while HandleBatchPrepare is still enumerating members: a lock
+    /// True while HandlePrepare is still enumerating members: a lock
     /// released by one member's refusal can synchronously grant an earlier
     /// member's queued request, and the ack must not go out before every
     /// member has been processed.
     bool collecting = false;
   };
-
-  /// Coordination::group value while the member sits in a forming batch
-  /// (no frames sent yet; replaced by the real batch id at flush, or by 0
-  /// when a batch of one degrades to the singleton path).
-  static constexpr uint64_t kFormingGroup = ~0ull;
 
   // State of a transaction this site participates in.
   struct Participation {
@@ -249,10 +241,10 @@ class Site : public MessageHandler {
     // Lossy-network retries: decision queries sent to the coordinator
     // while in doubt (SiteOptions::retry_limit) before giving up.
     uint32_t queries_sent = 0;
-    // Group commit: id of the BatchPrepare this participation arrived in
-    // (0 = singleton Prepare). Lock grants and timeouts for a batched
-    // member route through the batch's ack bookkeeping.
-    uint64_t batch = 0;
+    // Id of the round whose kPrepare staged this participation. Lock
+    // grants, timeouts and wounds route through that round's ack
+    // bookkeeping (RoundParticipation).
+    uint64_t round = 0;
   };
 
   // State of an in-flight control-type-1 recovery at this site.
@@ -289,53 +281,10 @@ class Site : public MessageHandler {
   void HandleCopyReply(const Message& msg);
   void FinishCopierPhase(Coordination& c);
   void ExecuteAndPrepare(Coordination& c);
-  /// The unbatched phase-one send: one kPrepare per participant plus the
-  /// ack timer. Also the degenerate path for a batch of one, which is
-  /// byte-identical on the wire to never having batched.
-  void SendSingletonPrepares(Coordination& c);
-  void HandlePrepareAck(const Message& msg);
-  void StartCommitPhase(Coordination& c);
-  void HandleCommitAck(const Message& msg);
-  void FinishCommit(Coordination& c);
+  /// Copier-phase timeout: retries the copy requests, then aborts the
+  /// transaction (or drops the batch refresh) and announces the silent
+  /// sources failed.
   void CoordinationTimeout(TxnId txn, bool batch);
-
-  // ---- group commit, coordinator side -----------------------------------
-  /// Adds a prepare-ready coordination to the forming batch toward its
-  /// wire participant set, pinning its locks (batch members are past the
-  /// point of no return and must never be wounded). Flushes at max_batch;
-  /// otherwise arms/keeps the linger timer.
-  void EnqueueIntoBatch(Coordination& c);
-  /// Sends the batch on its way: one member degrades to the singleton
-  /// Prepare path; two or more become an ActiveBatch with one
-  /// BatchPrepare per participant.
-  void FlushFormingBatch(FormingBatch forming);
-  void HandleBatchPrepareAck(const Message& msg);
-  /// Phase two of a batched round: one BatchCommit per participant
-  /// carrying the commit/abort split; refused members are replied to
-  /// (kAbortedLockConflict) without disturbing their batch-mates.
-  void StartBatchCommitPhase(ActiveBatch& b);
-  void HandleBatchCommitAck(const Message& msg);
-  /// All commit acks in: installs every committed member's writes, runs
-  /// fail-lock maintenance ONCE over the deduplicated union of their
-  /// write sets, and replies per member (each recorded individually in
-  /// the outcome cache).
-  void FinishBatchCommit(ActiveBatch& b);
-  void BatchTimeout(uint64_t batch_id);
-  /// Aborts every live member of a batch (stale view / participant
-  /// failure): one BatchCommit with everything in `aborts` to the
-  /// responsive participants, then per-member client replies.
-  void AbortWholeBatch(ActiveBatch& b, TxnOutcome outcome,
-                       const std::vector<SiteId>& notify);
-
-  // ---- group commit, participant side ------------------------------------
-  void HandleBatchPrepare(const Message& msg);
-  void HandleBatchCommit(const Message& msg);
-  /// A batched member's lock request resolved (grant / timeout / wound):
-  /// updates the batch bookkeeping and acks once no member is waiting.
-  void ResolveBatchMember(SiteId coordinator, uint64_t batch, TxnId txn,
-                          bool accepted);
-  /// Sends the one BatchPrepareAck and pins every accepted member.
-  void SendBatchPrepareAck(BatchParticipation& bp);
   /// kTimeout policy: a coordinator lock request waited too long.
   void CoordinatorLockTimeout(TxnId txn);
   /// Tears the coordination down: releases locks, cancels timers, replies
@@ -343,15 +292,49 @@ class Site : public MessageHandler {
   /// the queue. `c` is invalid on return.
   void ReplyAndClear(Coordination& c, TxnOutcome outcome);
 
+  // ---- commit rounds, coordinator side ----------------------------------
+  /// Adds a prepare-ready coordination to the forming batch toward its
+  /// wire participant set, pinning its locks (batch members are past the
+  /// point of no return and must never be wounded). Opens the round at
+  /// max_batch; otherwise arms/keeps the linger timer.
+  void EnqueueIntoBatch(Coordination& c);
+  /// Phase one: one kPrepare per participant carrying every member, plus
+  /// the round's ack timer.
+  void OpenRound(std::vector<SiteId> participants, std::vector<TxnId> members);
+  /// The round's kPrepare frame (also re-sent on prepare-phase retries).
+  PrepareArgs PrepareFrame(const Round& r) const;
+  void HandlePrepareAck(const Message& msg);
+  /// Phase two: one kCommit per participant carrying the commit/abort
+  /// split; refused members are replied to (kAbortedLockConflict) without
+  /// disturbing their round-mates.
+  void StartCommitPhase(Round& r);
+  void HandleCommitAck(const Message& msg);
+  /// All commit acks in (or the silent ones given up on): installs every
+  /// committed member's writes, runs fail-lock maintenance ONCE over the
+  /// deduplicated union of their write sets, and replies per member (each
+  /// recorded individually in the outcome cache).
+  void FinishRound(Round& r);
+  void RoundTimeout(uint64_t round_id);
+  /// Aborts every member of a round that left the map (stale view,
+  /// participant failure, all refused, wound): one kCommit with everything
+  /// in `aborts` to `notify`, then per-member client replies.
+  void AbortRound(Round& r, TxnOutcome outcome,
+                  const std::vector<SiteId>& notify);
+
   // ---- participant role --------------------------------------------------
   void HandlePrepare(const Message& msg);
   void HandleCommit(const Message& msg);
-  void HandleAbort(const Message& msg);
+  /// A member's lock request resolved (grant / timeout / wound / decision
+  /// answer): updates the round's ack bookkeeping and acks once no member
+  /// is waiting.
+  void ResolveRoundMember(SiteId coordinator, uint64_t round, TxnId txn,
+                          bool accepted);
+  /// Sends the one kPrepareAck and pins every accepted member.
+  void SendPrepareAck(RoundParticipation& rp);
   void ParticipationTimeout(TxnId txn);
   void OnParticipantLockGranted(TxnId txn);
   /// kTimeout policy: a participant lock request waited too long.
   void ParticipantLockTimeout(TxnId txn);
-  void SendPrepareAck(Participation& part);
   /// Answers an in-doubt participant's outcome query: from live
   /// coordination state, from the recent-outcome cache, or — when the
   /// transaction left no trace — by presumed abort.
@@ -413,9 +396,9 @@ class Site : public MessageHandler {
   /// cleared. Keying on the set — identical at every participant by
   /// construction — rather than on each site's believed-up view keeps the
   /// written rows convergent even when views are skewed.
-  /// `maintain_now = false` defers the fail-lock maintenance: group commit
-  /// installs every member's writes first and then maintains the table
-  /// once over the deduplicated union (see MaintainFailLocks).
+  /// `maintain_now = false` defers the fail-lock maintenance: a commit
+  /// round installs every member's writes first and then maintains the
+  /// table once over the deduplicated union (see MaintainFailLocks).
   void CommitLocalWrites(TxnId writer, const std::vector<ItemWrite>& writes,
                          const std::vector<SiteId>& participants,
                          bool maintain_now = true);
@@ -483,15 +466,15 @@ class Site : public MessageHandler {
   std::optional<Coordination> batch_;
   std::deque<Message> queued_requests_;
   /// Group commit, coordinator side: forming batches keyed by wire
-  /// participant set (under full replication there is at most one), and
-  /// in-flight batched rounds keyed by batch id.
+  /// participant set (under full replication there is at most one).
   std::map<std::vector<SiteId>, FormingBatch> forming_batches_;
-  std::map<uint64_t, ActiveBatch> active_batches_;
-  uint64_t next_batch_id_ = 1;
-  /// Group commit, participant side: BatchPrepares whose ack is gated on
-  /// queued lock requests, keyed by (coordinator, batch id).
-  std::map<std::pair<SiteId, uint64_t>, BatchParticipation>
-      batch_participations_;
+  /// Commit rounds in flight, keyed by round id.
+  std::map<uint64_t, Round> rounds_;
+  uint64_t next_round_id_ = 1;
+  /// Participant side: kPrepares whose ack has not gone out yet, keyed by
+  /// (coordinator, round id).
+  std::map<std::pair<SiteId, uint64_t>, RoundParticipation>
+      round_participations_;
   /// In-flight participations keyed by transaction id. Multiple
   /// coordinators may have transactions staged here concurrently; each
   /// site's own execution remains serial (one event at a time).

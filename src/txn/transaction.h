@@ -111,7 +111,8 @@ std::string_view TxnOutcomeName(TxnOutcome outcome);
 
 /// True for aborts caused by transient scheduling conflicts (lock
 /// conflicts, deadlock victims, lock-wait timeouts, stale membership
-/// views): re-submitting the same transaction unchanged may succeed.
+/// views): resubmitting the same operations under a fresh TxnSpec::id may
+/// succeed (a coordinator drops a reused id as a duplicate).
 /// False for kCommitted and for aborts that need operator/system action.
 bool IsRetryableAbort(TxnOutcome outcome);
 

@@ -59,10 +59,10 @@ TEST(AbstractModelTest, InterleavedCommitsClosureIsClean) {
 TEST(AbstractModelTest, BatchedCommitsClosureIsClean) {
   // Group commit: prepared slots sharing a coordinator and participant set
   // may also drain through one atomic kEndBatchCommit (batched apply +
-  // coalesced fail-lock maintenance, mirroring the engine's BatchCommit
-  // round). The flag only ADDS interleavings over the interleaved closure
-  // — every batched apply reaches a state the per-slot kEndCommit sequence
-  // also reaches — so the same properties must close clean.
+  // coalesced fail-lock maintenance, mirroring the engine's multi-member
+  // commit round). The flag only ADDS interleavings over the interleaved
+  // closure — every batched apply reaches a state the per-slot kEndCommit
+  // sequence also reaches — so the same properties must close clean.
   AbstractConfig cfg = BaseConfig();
   cfg.interleaved_commits = true;
   cfg.batched_commits = true;
@@ -71,7 +71,7 @@ TEST(AbstractModelTest, BatchedCommitsClosureIsClean) {
       << r.violation->detail << "\n" << r.violation->state;
   EXPECT_FALSE(r.depth_bounded);
   EXPECT_FALSE(r.state_bounded);
-  // Batched draining is a shortcut through states the singleton actions
+  // Batched draining is a shortcut through states the per-slot actions
   // already visit: the canonical state count must match the interleaved
   // closure exactly, while the edge count grows (the new actions).
   AbstractConfig plain = BaseConfig();

@@ -51,13 +51,17 @@ TEST(DuplicateToleranceTest, PrepareAfterCommittedTeardownIsReAcked) {
   Probe probe;
   cluster.transport().Register(kProbe, &probe);
   (void)cluster.transport().Send(MakeMessage(
-      kProbe, 1, PrepareArgs{1, {ItemWrite{0, 11}}, {}, {0, 1}}));
+      kProbe, 1,
+      PrepareArgs{1, {}, {0, 1}, {RoundMember{1, {ItemWrite{0, 11}}}}}));
   cluster.RunUntilIdle();
 
   // The participation is long torn down and the write applied: the site
   // must re-ack (a retrying coordinator may still be waiting) without
   // re-staging or re-committing anything.
-  EXPECT_EQ(probe.CountOf(MsgType::kPrepareAck), 1u);
+  ASSERT_EQ(probe.CountOf(MsgType::kPrepareAck), 1u);
+  const auto& ack = probe.received.front().As<PrepareAckArgs>();
+  EXPECT_TRUE(ack.accepted);
+  EXPECT_TRUE(ack.refused.empty());
   EXPECT_EQ(cluster.site(1).counters().prepares_handled, prepares);
   EXPECT_GE(cluster.site(1).counters().duplicate_msgs_ignored, 1u);
   EXPECT_EQ(cluster.site(1).db().Read(0)->value, 11);
@@ -78,7 +82,8 @@ TEST(DuplicateToleranceTest, PrepareAfterAbortedTeardownIsDropped) {
   Probe probe;
   cluster.transport().Register(kProbe, &probe);
   (void)cluster.transport().Send(MakeMessage(
-      kProbe, 1, PrepareArgs{1, {ItemWrite{0, 1}}, {}, {0, 1, 2}}));
+      kProbe, 1,
+      PrepareArgs{1, {}, {0, 1, 2}, {RoundMember{1, {ItemWrite{0, 1}}}}}));
   cluster.RunUntilIdle();
 
   // Re-staging a finished (aborted) transaction's writes would resurrect
@@ -98,7 +103,8 @@ TEST(DuplicateToleranceTest, CommitAfterTeardownReAcksWithoutReapplying) {
 
   Probe probe;
   cluster.transport().Register(kProbe, &probe);
-  (void)cluster.transport().Send(MakeMessage(kProbe, 1, CommitArgs{1}));
+  (void)cluster.transport().Send(
+      MakeMessage(kProbe, 1, CommitArgs{1, {1}, {}}));
   cluster.RunUntilIdle();
 
   // The commit already happened: re-ack (the sender's retransmissions
@@ -118,12 +124,13 @@ TEST(DuplicateToleranceTest, AbortAfterTeardownIsANoOp) {
 
   Probe probe;
   cluster.transport().Register(kProbe, &probe);
-  (void)cluster.transport().Send(MakeMessage(kProbe, 1, AbortArgs{1}));
+  (void)cluster.transport().Send(
+      MakeMessage(kProbe, 1, CommitArgs{1, {}, {1}}));
   cluster.RunUntilIdle();
 
-  // A late Abort for a transaction that committed here must not (and
-  // cannot) undo it; it is counted and discarded. The committed value
-  // survives.
+  // A late abort-only commit frame for a transaction that committed here
+  // must not (and cannot) undo it; it is counted and discarded. The
+  // committed value survives.
   EXPECT_EQ(cluster.site(1).counters().aborts_handled, aborts);
   EXPECT_GE(cluster.site(1).counters().duplicate_msgs_ignored, 1u);
   EXPECT_EQ(cluster.site(1).db().Read(5)->value, 50);
@@ -205,7 +212,7 @@ TEST(DuplicateToleranceTest, DecisionQueryAnsweredFromOutcomeCache) {
 
   Probe probe;
   cluster.transport().Register(kProbe, &probe);
-  // A committed transaction: the coordinator's cache answers Commit.
+  // A committed transaction: the coordinator's cache answers commit.
   (void)cluster.transport().Send(
       MakeMessage(kProbe, 0, DecisionQueryArgs{1}));
   // An unknown transaction: no trace anywhere means presumed abort.
@@ -213,8 +220,10 @@ TEST(DuplicateToleranceTest, DecisionQueryAnsweredFromOutcomeCache) {
       MakeMessage(kProbe, 0, DecisionQueryArgs{999}));
   cluster.RunUntilIdle();
 
-  EXPECT_EQ(probe.CountOf(MsgType::kCommit), 1u);
-  EXPECT_EQ(probe.CountOf(MsgType::kAbort), 1u);
+  // Each answer is a round-0 commit frame naming the one member.
+  ASSERT_EQ(probe.CountOf(MsgType::kCommit), 2u);
+  EXPECT_EQ(probe.received[0].As<CommitArgs>(), (CommitArgs{0, {1}, {}}));
+  EXPECT_EQ(probe.received[1].As<CommitArgs>(), (CommitArgs{0, {}, {999}}));
   EXPECT_EQ(cluster.site(0).counters().decision_queries_answered, 1u);
   EXPECT_EQ(cluster.site(0).counters().decisions_presumed_abort, 1u);
 }

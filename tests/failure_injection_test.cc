@@ -127,14 +127,14 @@ TEST(JitterTest, FifoPreservedUnderJitter) {
   class Recorder : public MessageHandler {
    public:
     void OnMessage(const Message& msg) override {
-      order.push_back(msg.As<CommitArgs>().txn);
+      order.push_back(msg.As<CommitArgs>().round);
     }
     std::vector<TxnId> order;
   };
   Recorder recorder;
   transport.Register(1, &recorder);
   for (TxnId t = 1; t <= 50; ++t) {
-    ASSERT_TRUE(transport.Send(MakeMessage(0, 1, CommitArgs{t})).ok());
+    ASSERT_TRUE(transport.Send(MakeMessage(0, 1, CommitArgs{t, {}, {}})).ok());
   }
   sim.RunUntilIdle();
   ASSERT_EQ(recorder.order.size(), 50u);
@@ -334,7 +334,7 @@ TEST(DuplicateDeterminismTest, SameSeedArrivalsUnchangedByDuplication) {
      public:
       explicit TimedRecorder(SimRuntime* sim) : sim_(sim) {}
       void OnMessage(const Message& msg) override {
-        const TxnId txn = msg.As<CommitArgs>().txn;
+        const TxnId txn = msg.As<CommitArgs>().round;
         if (first_seen.emplace(txn, sim_->now()).second) {
           arrivals.push_back({txn, sim_->now()});
         }
@@ -348,7 +348,7 @@ TEST(DuplicateDeterminismTest, SameSeedArrivalsUnchangedByDuplication) {
     TimedRecorder recorder(&sim);
     transport.Register(1, &recorder);
     for (TxnId t = 1; t <= 40; ++t) {
-      (void)transport.Send(MakeMessage(0, 1, CommitArgs{t}));
+      (void)transport.Send(MakeMessage(0, 1, CommitArgs{t, {}, {}}));
     }
     sim.RunUntilIdle();
     return recorder.arrivals;

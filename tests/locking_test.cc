@@ -116,6 +116,33 @@ TEST(LockingTest, YoungerConflictingWriterDiesAndCanRetry) {
   EXPECT_TRUE(cluster.CheckReplicaAgreement().ok());
 }
 
+TEST(LockingTest, LockConflictVictimCommitsUnderAFreshId) {
+  // TxnResult::retryable() promises that resubmitting the same operations
+  // under a fresh id may succeed; an unchanged resubmission (same id) is a
+  // duplicate and never runs. Two writers of item 1 at different
+  // coordinators each take their local lock first; their prepares cross,
+  // and the younger (txn 2) dies under wait-die at site 0.
+  auto cluster_owner = MakeSimCluster(Options(2, 4));
+  SimCluster& cluster = *cluster_owner;
+  const std::vector<Operation> ops = {Operation::Write(1, 21)};
+  const auto replies =
+      RunConcurrently(cluster, {{MakeTxn(1, {Operation::Write(1, 11)}), 0},
+                                {MakeTxn(2, ops), 1}});
+  ASSERT_EQ(replies[0].outcome, TxnOutcome::kCommitted);
+  ASSERT_EQ(replies[1].outcome, TxnOutcome::kAbortedLockConflict);
+  ASSERT_TRUE(replies[1].retryable());
+
+  // Same id: dropped as a duplicate at the coordinator; the client only
+  // hears its own timeout.
+  EXPECT_EQ(cluster.RunTxn(MakeTxn(2, ops), 1).outcome,
+            TxnOutcome::kCoordinatorUnreachable);
+  // Fresh id, same operations: commits.
+  const TxnResult retry = cluster.RunTxn(MakeTxn(3, ops), 1);
+  EXPECT_EQ(retry.outcome, TxnOutcome::kCommitted);
+  EXPECT_EQ(cluster.site(0).db().Read(1)->value, 21);
+  EXPECT_TRUE(cluster.CheckReplicaAgreement().ok());
+}
+
 TEST(LockingTest, NoLocksLeakAcrossHeavyConcurrency) {
   auto cluster_owner = MakeSimCluster(Options(4, 10));
   SimCluster& cluster = *cluster_owner;

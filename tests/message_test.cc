@@ -44,21 +44,23 @@ TEST(MessageTest, RoundTripTxnReply) {
 
 TEST(MessageTest, RoundTripTwoPhaseCommitMessages) {
   PrepareArgs prepare;
-  prepare.txn = 7;
-  prepare.writes = {ItemWrite{0, 1}, ItemWrite{49, -9}};
+  prepare.round = 9;
   prepare.session_vector = {SessionEntryWire{1, SiteStatus::kUp},
                             SessionEntryWire{4, SiteStatus::kDown}};
-  prepare.participants = {0, 1};
+  prepare.participants = {0, 1, 2};
+  prepare.members = {RoundMember{7, {ItemWrite{0, 1}, ItemWrite{49, -9}}},
+                     RoundMember{8, {ItemWrite{0, 2}}}};
   ExpectRoundTrip(MakeMessage(0, 1, std::move(prepare)));
-  ExpectRoundTrip(MakeMessage(1, 0, PrepareAckArgs{7, true, {}}));
-  // A session-vector veto: refused, with the participant's vector riding
-  // back for the coordinator to merge.
-  PrepareAckArgs veto{7, /*accepted=*/false,
-                      {SessionEntryWire{2, SiteStatus::kUp}}};
+  ExpectRoundTrip(MakeMessage(1, 0, PrepareAckArgs{9, true, {}, {8}}));
+  // A session-vector veto: the whole round refused, with the
+  // participant's vector riding back for the coordinator to merge.
+  PrepareAckArgs veto{9, /*accepted=*/false,
+                      {SessionEntryWire{2, SiteStatus::kUp}}, {}};
   ExpectRoundTrip(MakeMessage(1, 0, std::move(veto)));
-  ExpectRoundTrip(MakeMessage(0, 1, CommitArgs{7}));
-  ExpectRoundTrip(MakeMessage(1, 0, CommitAckArgs{7}));
-  ExpectRoundTrip(MakeMessage(0, 1, AbortArgs{7}));
+  ExpectRoundTrip(MakeMessage(0, 1, CommitArgs{9, {7}, {8}}));
+  ExpectRoundTrip(MakeMessage(1, 0, CommitAckArgs{9}));
+  // A decision answer: round 0, one member.
+  ExpectRoundTrip(MakeMessage(0, 1, CommitArgs{0, {}, {7}}));
 }
 
 TEST(MessageTest, RoundTripCopierMessages) {
@@ -110,20 +112,28 @@ TEST(MessageTest, RoundTripControlPlane) {
 }
 
 TEST(MessageTest, EmptyVectorsRoundTrip) {
+  // Degenerate but wire-legal shapes: a round with no members, a member
+  // with no writes, an abort-only commit frame, an ack with nothing
+  // refused.
   ExpectRoundTrip(MakeMessage(0, 1, PrepareArgs{1, {}, {}, {}}));
+  ExpectRoundTrip(
+      MakeMessage(0, 1, PrepareArgs{1, {}, {}, {RoundMember{5, {}}}}));
+  ExpectRoundTrip(MakeMessage(0, 1, CommitArgs{1, {}, {5, 6}}));
+  ExpectRoundTrip(MakeMessage(1, 0, PrepareAckArgs{1, true, {}, {}}));
   ExpectRoundTrip(MakeMessage(0, 1, CopyReplyArgs{1, {}}));
   ExpectRoundTrip(MakeMessage(0, 1, RecoveryInfoArgs{{}, {}}));
 }
 
 TEST(MessageTest, UnknownTypeByteRejected) {
-  Message msg = MakeMessage(0, 1, CommitArgs{5});
+  Message msg = MakeMessage(0, 1, CommitArgs{5, {5}, {}});
   std::vector<uint8_t> wire = EncodeMessage(msg);
   wire[0] = 250;  // no such MsgType
   EXPECT_EQ(DecodeMessage(wire).status().code(), StatusCode::kCorruption);
 }
 
 TEST(MessageTest, TrailingGarbageRejected) {
-  std::vector<uint8_t> wire = EncodeMessage(MakeMessage(0, 1, CommitArgs{5}));
+  std::vector<uint8_t> wire =
+      EncodeMessage(MakeMessage(0, 1, CommitArgs{5, {5}, {}}));
   wire.push_back(0x00);
   EXPECT_EQ(DecodeMessage(wire).status().code(), StatusCode::kCorruption);
 }
@@ -140,37 +150,6 @@ TEST(MessageTest, BadEnumValuesRejected) {
   EXPECT_EQ(DecodeMessage(wire).status().code(), StatusCode::kCorruption);
 }
 
-TEST(MessageTest, RoundTripBatchMessages) {
-  BatchPrepareArgs prepare;
-  prepare.batch = 9;
-  prepare.session_vector = {SessionEntryWire{2, SiteStatus::kUp},
-                            SessionEntryWire{1, SiteStatus::kDown}};
-  prepare.participants = {0, 1, 2};
-  prepare.members = {BatchMember{7, {ItemWrite{3, 9}, ItemWrite{1, 4}}},
-                     BatchMember{8, {ItemWrite{0, 2}}}};
-  ExpectRoundTrip(MakeMessage(0, 1, std::move(prepare)));
-
-  ExpectRoundTrip(MakeMessage(1, 0, BatchPrepareAckArgs{9, true, {}, {8}}));
-  BatchPrepareAckArgs veto;
-  veto.batch = 9;
-  veto.accepted = false;
-  veto.session_vector = {SessionEntryWire{3, SiteStatus::kUp}};
-  ExpectRoundTrip(MakeMessage(1, 0, std::move(veto)));
-
-  ExpectRoundTrip(MakeMessage(0, 1, BatchCommitArgs{9, {7}, {8}}));
-  ExpectRoundTrip(MakeMessage(1, 0, BatchCommitAckArgs{9}));
-}
-
-TEST(MessageTest, EmptyBatchVectorsRoundTrip) {
-  // Degenerate but wire-legal shapes: a member with no writes, an
-  // abort-only commit frame (the whole-batch-abort notification), an ack
-  // with nothing refused.
-  ExpectRoundTrip(
-      MakeMessage(0, 1, BatchPrepareArgs{1, {}, {}, {BatchMember{5, {}}}}));
-  ExpectRoundTrip(MakeMessage(0, 1, BatchCommitArgs{1, {}, {5, 6}}));
-  ExpectRoundTrip(MakeMessage(1, 0, BatchPrepareAckArgs{1, true, {}, {}}));
-}
-
 TEST(MessageTest, EveryTruncationFailsCleanly) {
   // Property: no prefix of a valid message decodes successfully, and none
   // crashes. Exercises bounds checks in every payload decoder.
@@ -178,9 +157,12 @@ TEST(MessageTest, EveryTruncationFailsCleanly) {
   corpus.push_back(MakeMessage(
       0, 1,
       PrepareArgs{7,
-                  {ItemWrite{3, 9}},
                   {SessionEntryWire{2, SiteStatus::kUp}},
-                  {0, 1, 2}}));
+                  {0, 1, 2},
+                  {RoundMember{3, {ItemWrite{1, 9}}}, RoundMember{4, {}}}}));
+  corpus.push_back(MakeMessage(1, 0, PrepareAckArgs{7, true, {}, {4}}));
+  corpus.push_back(MakeMessage(0, 1, CommitArgs{7, {3}, {4}}));
+  corpus.push_back(MakeMessage(1, 0, CommitAckArgs{7}));
   corpus.push_back(
       MakeMessage(0, 1, CopyReplyArgs{7, {ItemCopy{1, 2, 3}}}));
   RecoveryInfoArgs info;
@@ -191,13 +173,6 @@ TEST(MessageTest, EveryTruncationFailsCleanly) {
   txn.txn.id = 2;
   txn.txn.ops = {Operation::Write(1, 2)};
   corpus.push_back(MakeMessage(4, 0, std::move(txn)));
-  BatchPrepareArgs batch;
-  batch.batch = 7;
-  batch.session_vector = {SessionEntryWire{2, SiteStatus::kUp}};
-  batch.participants = {0, 1};
-  batch.members = {BatchMember{3, {ItemWrite{1, 9}}}, BatchMember{4, {}}};
-  corpus.push_back(MakeMessage(0, 1, std::move(batch)));
-  corpus.push_back(MakeMessage(0, 1, BatchCommitArgs{7, {3}, {4}}));
 
   for (const Message& msg : corpus) {
     const std::vector<uint8_t> wire = EncodeMessage(msg);
@@ -222,17 +197,17 @@ TEST(MessageTest, RandomBytesNeverCrashDecoder) {
 
 TEST(MessageTest, MsgTypeNamesAreUnique) {
   std::set<std::string_view> names;
-  for (int t = 0; t <= static_cast<int>(MsgType::kBatchCommitAck); ++t) {
+  for (int t = 0; t <= static_cast<int>(MsgType::kChannelAck); ++t) {
     names.insert(MsgTypeName(static_cast<MsgType>(t)));
   }
-  EXPECT_EQ(names.size(),
-            static_cast<size_t>(MsgType::kBatchCommitAck) + 1);
+  EXPECT_EQ(names.size(), static_cast<size_t>(MsgType::kChannelAck) + 1);
+  EXPECT_EQ(names.count("Unknown"), 0u);
 }
 
 TEST(MessageTest, ChannelSequenceNumbersRoundTrip) {
   // The reliable channel stamps seq/ack on every frame; both must survive
   // the codec, including multi-byte varint values.
-  Message msg = MakeMessage(0, 1, CommitArgs{5});
+  Message msg = MakeMessage(0, 1, CommitArgs{5, {5}, {}});
   msg.seq = 300;     // two varint bytes
   msg.ack = 70000;   // three varint bytes
   ExpectRoundTrip(msg);

@@ -22,7 +22,7 @@ class Recorder : public MessageHandler {
  public:
   void OnMessage(const Message& msg) override {
     if (msg.type == MsgType::kCommit) {
-      txns.push_back(msg.As<CommitArgs>().txn);
+      txns.push_back(msg.As<CommitArgs>().round);
     }
   }
   std::vector<TxnId> txns;
@@ -62,7 +62,7 @@ TEST(ReliableChannelTest, RetransmitsEveryLostMessageInOrder) {
   };
   Pair pair(&sim, topts, Enabled());
   for (TxnId t = 1; t <= 10; ++t) {
-    ASSERT_TRUE(pair.ch0.Send(MakeMessage(0, 1, CommitArgs{t})).ok());
+    ASSERT_TRUE(pair.ch0.Send(MakeMessage(0, 1, CommitArgs{t, {}, {}})).ok());
   }
   sim.RunUntilIdle();
   ASSERT_EQ(pair.rec1.txns.size(), 10u);
@@ -81,7 +81,7 @@ TEST(ReliableChannelTest, TransportDuplicatesSuppressedAtReceiver) {
   topts.faults.duplicate_probability = 1.0;  // every message arrives twice
   Pair pair(&sim, topts, Enabled());
   for (TxnId t = 1; t <= 20; ++t) {
-    ASSERT_TRUE(pair.ch0.Send(MakeMessage(0, 1, CommitArgs{t})).ok());
+    ASSERT_TRUE(pair.ch0.Send(MakeMessage(0, 1, CommitArgs{t, {}, {}})).ok());
   }
   sim.RunUntilIdle();
   ASSERT_EQ(pair.rec1.txns.size(), 20u);
@@ -108,7 +108,7 @@ TEST(ReliableChannelTest, GapIsBufferedAndReleasedInSequence) {
   };
   Pair pair(&sim, topts, Enabled());
   for (TxnId t = 1; t <= 5; ++t) {
-    ASSERT_TRUE(pair.ch0.Send(MakeMessage(0, 1, CommitArgs{t})).ok());
+    ASSERT_TRUE(pair.ch0.Send(MakeMessage(0, 1, CommitArgs{t, {}, {}})).ok());
   }
   sim.RunUntilIdle();
   ASSERT_EQ(pair.rec1.txns.size(), 5u);
@@ -133,7 +133,7 @@ TEST(ReliableChannelTest, AbandonsAfterMaxRetransmits) {
   ReliableChannelOptions copts = Enabled();
   copts.max_retransmits = 3;
   Pair pair(&sim, topts, copts);
-  ASSERT_TRUE(pair.ch0.Send(MakeMessage(0, 1, CommitArgs{1})).ok());
+  ASSERT_TRUE(pair.ch0.Send(MakeMessage(0, 1, CommitArgs{1, {}, {}})).ok());
   sim.RunUntilIdle();  // terminates: the channel gives up, timers stop
   EXPECT_TRUE(pair.rec1.txns.empty());
   EXPECT_EQ(pair.ch0.counters().retransmits, 3u);
@@ -144,7 +144,7 @@ TEST(ReliableChannelTest, AbandonsAfterMaxRetransmits) {
 TEST(ReliableChannelTest, DisabledChannelIsAPassthrough) {
   SimRuntime sim;
   Pair pair(&sim, SimTransportOptions{}, ReliableChannelOptions{});
-  ASSERT_TRUE(pair.ch0.Send(MakeMessage(0, 1, CommitArgs{7})).ok());
+  ASSERT_TRUE(pair.ch0.Send(MakeMessage(0, 1, CommitArgs{7, {}, {}})).ok());
   sim.RunUntilIdle();
   ASSERT_EQ(pair.rec1.txns.size(), 1u);
   EXPECT_EQ(pair.rec1.txns[0], 7u);
@@ -163,7 +163,7 @@ TEST(ReliableChannelTest, UnsequencedDatagramBypassesDedup) {
   Recorder rec1;
   ReliableChannel ch1(1, &transport, sim.RuntimeFor(1), &rec1, Enabled());
   transport.Register(1, &ch1);
-  ASSERT_TRUE(transport.Send(MakeMessage(9, 1, CommitArgs{42})).ok());
+  ASSERT_TRUE(transport.Send(MakeMessage(9, 1, CommitArgs{42, {}, {}})).ok());
   sim.RunUntilIdle();
   ASSERT_EQ(rec1.txns.size(), 1u);
   EXPECT_EQ(rec1.txns[0], 42u);
@@ -174,8 +174,9 @@ TEST(ReliableChannelTest, BidirectionalTrafficPiggybacksAcks) {
   SimRuntime sim;
   Pair pair(&sim, SimTransportOptions{}, Enabled());
   for (TxnId t = 1; t <= 5; ++t) {
-    ASSERT_TRUE(pair.ch0.Send(MakeMessage(0, 1, CommitArgs{t})).ok());
-    ASSERT_TRUE(pair.ch1.Send(MakeMessage(1, 0, CommitArgs{100 + t})).ok());
+    ASSERT_TRUE(pair.ch0.Send(MakeMessage(0, 1, CommitArgs{t, {}, {}})).ok());
+    ASSERT_TRUE(
+        pair.ch1.Send(MakeMessage(1, 0, CommitArgs{100 + t, {}, {}})).ok());
   }
   sim.RunUntilIdle();
   ASSERT_EQ(pair.rec1.txns.size(), 5u);

@@ -43,7 +43,7 @@ TEST(RobustnessTest, DuplicateCommitIsIdempotent) {
   ASSERT_EQ(cluster.RunTxn(MakeTxn(1, {Operation::Write(2, 5)}), 0).outcome,
             TxnOutcome::kCommitted);
   // Replay the commit to a participant after the transaction finished.
-  (void)cluster.transport().Send(MakeMessage(0, 1, CommitArgs{1}));
+  (void)cluster.transport().Send(MakeMessage(0, 1, CommitArgs{1, {1}, {}}));
   cluster.RunUntilIdle();
   EXPECT_EQ(cluster.site(1).db().Read(2)->value, 5);
   EXPECT_EQ(cluster.site(1).db().Read(2)->version, 1u);
@@ -53,7 +53,8 @@ TEST(RobustnessTest, DuplicateCommitIsIdempotent) {
 TEST(RobustnessTest, StrayAcksAndRepliesIgnored) {
   auto cluster_owner = MakeSimCluster(SmallOptions());
   SimCluster& cluster = *cluster_owner;
-  (void)cluster.transport().Send(MakeMessage(1, 0, PrepareAckArgs{77, true, {}}));
+  (void)cluster.transport().Send(
+      MakeMessage(1, 0, PrepareAckArgs{77, true, {}, {}}));
   (void)cluster.transport().Send(MakeMessage(1, 0, CommitAckArgs{77}));
   CopyReplyArgs stray_copy;
   stray_copy.txn = 77;
@@ -71,7 +72,7 @@ TEST(RobustnessTest, StaleAbortForFinishedTxnIgnored) {
   SimCluster& cluster = *cluster_owner;
   ASSERT_EQ(cluster.RunTxn(MakeTxn(1, {Operation::Write(2, 5)}), 0).outcome,
             TxnOutcome::kCommitted);
-  (void)cluster.transport().Send(MakeMessage(0, 1, AbortArgs{1}));
+  (void)cluster.transport().Send(MakeMessage(0, 1, CommitArgs{1, {}, {1}}));
   cluster.RunUntilIdle();
   EXPECT_EQ(cluster.site(1).db().Read(2)->value, 5);
 }
@@ -134,15 +135,17 @@ TEST(RobustnessTest, WireFuzzAgainstLiveCluster) {
     const SiteId site = static_cast<SiteId>(fuzz.NextBounded(8));
     switch (pick) {
       case 0:
-        return PrepareArgs{txn, {ItemWrite{item, Value(fuzz.Next())}}, {}, {site}};
+        return PrepareArgs{
+            txn, {}, {site},
+            {RoundMember{txn, {ItemWrite{item, Value(fuzz.Next())}}}}};
       case 1:
-        return PrepareAckArgs{txn, true, {}};
+        return PrepareAckArgs{txn, true, {}, {txn}};
       case 2:
-        return CommitArgs{txn};
+        return CommitArgs{txn, {txn}, {}};
       case 3:
         return CommitAckArgs{txn};
       case 4:
-        return AbortArgs{txn};
+        return CommitArgs{txn, {}, {txn}};
       case 5:
         return CopyRequestArgs{txn, {item, item}};
       case 6:

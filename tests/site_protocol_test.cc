@@ -255,12 +255,12 @@ TEST(SiteProtocolTest, CommitPhaseTimeoutStillCommits) {
 }
 
 TEST(SiteProtocolTest, ParticipantDetectsDeadCoordinator) {
-  // Drop the commit AND the abort so the participant's patience timer
-  // expires: it must discard the staged write and run control type 2.
+  // Drop every commit frame (commit or abort) so the participant's
+  // patience timer expires: it must discard the staged write and run
+  // control type 2.
   ClusterOptions options = Options(3);
   options.transport.drop_filter = [](const Message& msg) {
-    return msg.from == 0 && msg.to == 1 &&
-           (msg.type == MsgType::kCommit || msg.type == MsgType::kAbort);
+    return msg.from == 0 && msg.to == 1 && msg.type == MsgType::kCommit;
   };
   options.managing.client_timeout = Seconds(30);
   auto cluster_owner = MakeSimCluster(options);

@@ -61,17 +61,17 @@ class TcpTransportTest : public ::testing::Test {
 
 TEST_F(TcpTransportTest, SendAndReceive) {
   PrepareArgs args;
-  args.txn = 5;
-  args.writes = {ItemWrite{1, 11}, ItemWrite{2, 22}};
+  args.round = 5;
+  args.members = {RoundMember{5, {ItemWrite{1, 11}, ItemWrite{2, 22}}}};
   ASSERT_TRUE(a_->Send(MakeMessage(0, 1, args)).ok());
   ASSERT_TRUE(WaitForCount(collector_b_, 1));
   const Message received = collector_b_.At(0);
   EXPECT_EQ(received.type, MsgType::kPrepare);
-  EXPECT_EQ(received.As<PrepareArgs>().writes[1].value, 22);
+  EXPECT_EQ(received.As<PrepareArgs>().members[0].writes[1].value, 22);
 }
 
 TEST_F(TcpTransportTest, BidirectionalTraffic) {
-  ASSERT_TRUE(a_->Send(MakeMessage(0, 1, CommitArgs{1})).ok());
+  ASSERT_TRUE(a_->Send(MakeMessage(0, 1, CommitArgs{1, {}, {}})).ok());
   ASSERT_TRUE(b_->Send(MakeMessage(1, 0, CommitAckArgs{1})).ok());
   EXPECT_TRUE(WaitForCount(collector_b_, 1));
   EXPECT_TRUE(WaitForCount(collector_a_, 1));
@@ -81,11 +81,11 @@ TEST_F(TcpTransportTest, BidirectionalTraffic) {
 TEST_F(TcpTransportTest, FifoOverOneConnection) {
   constexpr TxnId kCount = 200;
   for (TxnId t = 1; t <= kCount; ++t) {
-    ASSERT_TRUE(a_->Send(MakeMessage(0, 1, CommitArgs{t})).ok());
+    ASSERT_TRUE(a_->Send(MakeMessage(0, 1, CommitArgs{t, {}, {}})).ok());
   }
   ASSERT_TRUE(WaitForCount(collector_b_, kCount));
   for (TxnId t = 1; t <= kCount; ++t) {
-    EXPECT_EQ(collector_b_.At(t - 1).As<CommitArgs>().txn, t);
+    EXPECT_EQ(collector_b_.At(t - 1).As<CommitArgs>().round, t);
   }
   EXPECT_EQ(a_->messages_sent(), kCount);
   EXPECT_EQ(b_->messages_received(), kCount);
@@ -106,7 +106,7 @@ TEST_F(TcpTransportTest, LargeMessage) {
 }
 
 TEST_F(TcpTransportTest, UnknownPeerIsError) {
-  EXPECT_FALSE(a_->Send(MakeMessage(0, 7, CommitArgs{1})).ok());
+  EXPECT_FALSE(a_->Send(MakeMessage(0, 7, CommitArgs{1, {}, {}})).ok());
 }
 
 TEST(TcpTransportStandaloneTest, StartWithoutHandlerFails) {
@@ -125,9 +125,21 @@ TEST(TcpTransportStandaloneTest, ConnectToDeadPeerFails) {
   TcpTransport transport(0, ports, &loop, &collector);
   ASSERT_TRUE(transport.Start().ok());
   // Site 1 never started listening.
-  EXPECT_EQ(transport.Send(MakeMessage(0, 1, CommitArgs{1})).code(),
+  EXPECT_EQ(transport.Send(MakeMessage(0, 1, CommitArgs{1, {}, {}})).code(),
             StatusCode::kIoError);
   transport.Stop();
+}
+
+TEST(TcpTransportStandaloneTest, BasePortsStayBelowTheEphemeralRange) {
+  // Linux hands out outgoing-connection ports from 32768 up by default; a
+  // cluster listening there can collide with an unrelated socket. Every
+  // pick (the per-process counter cycles through the whole span) and its
+  // stride of cluster ports must stay below.
+  for (int pick = 0; pick < 1000; ++pick) {
+    const uint32_t base = PickEphemeralBasePort();
+    EXPECT_GE(base, 1024u);
+    EXPECT_LE(base + kClusterPortStride, 32768u) << "pick " << pick;
+  }
 }
 
 }  // namespace

@@ -22,19 +22,20 @@ TEST(SimTransportTest, DeliversAfterLatency) {
   Recorder recorder;
   transport.Register(1, &recorder);
 
-  ASSERT_TRUE(transport.Send(MakeMessage(0, 1, CommitArgs{5})).ok());
+  ASSERT_TRUE(transport.Send(MakeMessage(0, 1, CommitArgs{5, {}, {}})).ok());
   sim.RunUntil(Milliseconds(8));
   EXPECT_TRUE(recorder.messages.empty());
   sim.RunUntilIdle();
   ASSERT_EQ(recorder.messages.size(), 1u);
-  EXPECT_EQ(recorder.messages[0].As<CommitArgs>().txn, 5u);
+  EXPECT_EQ(recorder.messages[0].As<CommitArgs>().round, 5u);
   EXPECT_EQ(transport.messages_sent(), 1u);
 }
 
 TEST(SimTransportTest, UnknownDestinationIsError) {
   SimRuntime sim;
   SimTransport transport(&sim, SimTransportOptions{});
-  const Status status = transport.Send(MakeMessage(0, 9, CommitArgs{1}));
+  const Status status =
+      transport.Send(MakeMessage(0, 9, CommitArgs{1, {}, {}}));
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
 }
 
@@ -44,12 +45,12 @@ TEST(SimTransportTest, FifoPerPair) {
   Recorder recorder;
   transport.Register(1, &recorder);
   for (TxnId t = 1; t <= 20; ++t) {
-    ASSERT_TRUE(transport.Send(MakeMessage(0, 1, CommitArgs{t})).ok());
+    ASSERT_TRUE(transport.Send(MakeMessage(0, 1, CommitArgs{t, {}, {}})).ok());
   }
   sim.RunUntilIdle();
   ASSERT_EQ(recorder.messages.size(), 20u);
   for (TxnId t = 1; t <= 20; ++t) {
-    EXPECT_EQ(recorder.messages[t - 1].As<CommitArgs>().txn, t);
+    EXPECT_EQ(recorder.messages[t - 1].As<CommitArgs>().round, t);
   }
 }
 
@@ -62,11 +63,11 @@ TEST(SimTransportTest, DropFilterInjectsLoss) {
   SimTransport transport(&sim, options);
   Recorder recorder;
   transport.Register(1, &recorder);
-  ASSERT_TRUE(transport.Send(MakeMessage(0, 1, CommitArgs{1})).ok());
-  ASSERT_TRUE(transport.Send(MakeMessage(0, 1, AbortArgs{2})).ok());
+  ASSERT_TRUE(transport.Send(MakeMessage(0, 1, CommitArgs{1, {}, {}})).ok());
+  ASSERT_TRUE(transport.Send(MakeMessage(0, 1, CommitAckArgs{2})).ok());
   sim.RunUntilIdle();
   ASSERT_EQ(recorder.messages.size(), 1u);
-  EXPECT_EQ(recorder.messages[0].type, MsgType::kAbort);
+  EXPECT_EQ(recorder.messages[0].type, MsgType::kCommitAck);
   EXPECT_EQ(transport.messages_dropped(), 1u);
 }
 
@@ -102,7 +103,7 @@ TEST(SimTransportTest, SendsDuringHandlerDepartAfterCharges) {
   transport.Register(2, &timestamper);
 
   sim.ScheduleGlobalEvent(0, [&] {
-    (void)transport.Send(MakeMessage(0, 1, CommitArgs{1}));
+    (void)transport.Send(MakeMessage(0, 1, CommitArgs{1, {}, {}}));
   });
   sim.RunUntilIdle();
   // Path: send at 0 -> arrives at 9 -> 5 ms CPU -> departs 14 -> arrives 23.
@@ -116,14 +117,15 @@ TEST(InProcTransportTest, CodecRoundTripDelivery) {
   transport.Register(1, &loop, &recorder);
 
   PrepareArgs args;
-  args.txn = 11;
-  args.writes = {ItemWrite{3, 42}};
+  args.round = 11;
+  args.members = {RoundMember{11, {ItemWrite{3, 42}}}};
   ASSERT_TRUE(transport.Send(MakeMessage(0, 1, args)).ok());
 
   // Drain the loop: post a marker and wait for it.
   loop.PostAndWait([] {});
   ASSERT_EQ(recorder.messages.size(), 1u);
-  EXPECT_EQ(recorder.messages[0].As<PrepareArgs>().writes[0].value, 42);
+  EXPECT_EQ(
+      recorder.messages[0].As<PrepareArgs>().members[0].writes[0].value, 42);
 }
 
 TEST(InProcTransportTest, FifoAcrossManyMessages) {
@@ -132,18 +134,18 @@ TEST(InProcTransportTest, FifoAcrossManyMessages) {
   Recorder recorder;
   transport.Register(1, &loop, &recorder);
   for (TxnId t = 1; t <= 100; ++t) {
-    ASSERT_TRUE(transport.Send(MakeMessage(0, 1, CommitArgs{t})).ok());
+    ASSERT_TRUE(transport.Send(MakeMessage(0, 1, CommitArgs{t, {}, {}})).ok());
   }
   loop.PostAndWait([] {});
   ASSERT_EQ(recorder.messages.size(), 100u);
   for (TxnId t = 1; t <= 100; ++t) {
-    EXPECT_EQ(recorder.messages[t - 1].As<CommitArgs>().txn, t);
+    EXPECT_EQ(recorder.messages[t - 1].As<CommitArgs>().round, t);
   }
 }
 
 TEST(InProcTransportTest, UnknownDestinationIsError) {
   InProcTransport transport;
-  EXPECT_EQ(transport.Send(MakeMessage(0, 3, CommitArgs{1})).code(),
+  EXPECT_EQ(transport.Send(MakeMessage(0, 3, CommitArgs{1, {}, {}})).code(),
             StatusCode::kInvalidArgument);
 }
 
